@@ -1,16 +1,24 @@
-// FunctionalEngine hot-path bench: dense gather vs scatter vs
-// density-adaptive kernel dispatch, swept over spike density x layer
-// shape (VGG-11 / ResNet-18 conv blocks + a pool-unrolled-style FC),
-// plus the fire-stage sweep — scalar per-neuron loop vs the fused
-// vectorized aggregate+fire kernels, both under adaptive dispatch.
+// FunctionalEngine hot-path bench: the engine (event-driven scatter
+// psum + fused fire) against the gather oracle kernel, swept over spike
+// density x layer shape (VGG-11 / ResNet-18 conv blocks + a
+// pool-unrolled-style FC), plus the fire-stage sweep — scalar
+// per-neuron loop vs the fused vectorized aggregate+fire kernels.
 //
-// Prints steps/s per (shape, density, mode) and emits machine-readable
-// BENCH_ENGINE.json (dispatch rows in "results", the fire-stage sweep
-// in "fire_results"). With --check, exits nonzero if, on any conv
-// shape at 5% density, adaptive dispatch is slower than dense OR the
-// fused fire stage is slower than the scalar baseline (the CI
-// perf-smoke gates: at paper-realistic spike rates neither
-// optimization may regress below its baseline).
+// Per (shape, density) it times three things over the same T=16 input
+// maps: a whole FunctionalEngine::step, the scatter psum kernel alone
+// (compute::conv_psum_scatter / linear_psum_scatter, what the step runs)
+// and the gather oracle kernel alone (compute::conv_psum / linear_psum,
+// the tests' reference). The two kernel columns record the
+// trade of the one-psum-path design: scatter cost scales with spikes,
+// gather cost with sites, so gather catches up only as maps fill.
+//
+// Prints steps/s and emits machine-readable BENCH_ENGINE.json (psum
+// rows in "results", the fire-stage sweep in "fire_results"). With
+// --check, exits nonzero if, on any conv shape at <= 5% density, the
+// whole engine step is slower than the gather kernel alone OR the fused
+// fire stage is slower than the scalar baseline (the CI perf-smoke
+// gates: at paper-realistic spike rates neither may lose to its
+// baseline).
 //
 // Flags: --quick (reduced sweep), --check, --out <path>,
 //        --min-ms <per-measurement milliseconds>.
@@ -22,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "snn/compute.hpp"
 #include "snn/engine.hpp"
 #include "snn/model.hpp"
 #include "snn/spike.hpp"
@@ -102,36 +111,65 @@ std::vector<snn::SpikeMap> make_inputs(const snn::SnnModel& model, double densit
     return inputs;
 }
 
-struct Measurement {
-    double steps_per_sec = 0.0;
-    double scatter_fraction = 0.0;  ///< share of steps the engine ran via scatter
-};
-
-Measurement measure(const snn::SnnModel& model, snn::EngineConfig config,
-                    const std::vector<snn::SpikeMap>& inputs, double min_ms) {
-    snn::FunctionalEngine engine(model, config);
-    for (const auto& in : inputs) engine.step(in);  // warm caches + page in
-    // Best of 3 independent reps: a single scheduler stall inside one
-    // rep cannot poison the reading (measurements run on shared CI
-    // runners, and a fast step here is microseconds).
-    double best_sps = 0.0;
+/// Best-of-3 steps/s of `pass`, which runs `steps_per_pass` steps.
+/// Each rep repeats the pass until `min_ms` elapses; best of three
+/// independent reps means a single scheduler stall inside one rep
+/// cannot poison the reading (measurements run on shared CI runners,
+/// and a fast step here is microseconds).
+template <typename Pass>
+double best_steps_per_sec(Pass&& pass, std::int64_t steps_per_pass, double min_ms) {
+    pass();  // warm caches + page in
+    double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         const util::WallTimer timer;
         std::int64_t steps = 0;
         double elapsed = 0.0;
         do {
-            for (const auto& in : inputs) engine.step(in);
-            steps += static_cast<std::int64_t>(inputs.size());
+            pass();
+            steps += steps_per_pass;
             elapsed = timer.millis();
         } while (elapsed < min_ms);
-        best_sps = std::max(best_sps, 1e3 * static_cast<double>(steps) / elapsed);
+        best = std::max(best, 1e3 * static_cast<double>(steps) / elapsed);
     }
-    const auto& d = engine.dispatch_stats(0);
-    const std::int64_t total = d.dense_steps + d.scatter_steps;
-    return {.steps_per_sec = best_sps,
-            .scatter_fraction = total > 0 ? static_cast<double>(d.scatter_steps) /
-                                                static_cast<double>(total)
-                                          : 0.0};
+    return best;
+}
+
+/// Whole FunctionalEngine::step throughput under `config`.
+double measure_engine(const snn::SnnModel& model, snn::EngineConfig config,
+                      const std::vector<snn::SpikeMap>& inputs, double min_ms) {
+    snn::FunctionalEngine engine(model, config);
+    return best_steps_per_sec(
+        [&] {
+            for (const auto& in : inputs) engine.step(in);
+        },
+        static_cast<std::int64_t>(inputs.size()), min_ms);
+}
+
+/// Psum-kernel-only throughput of the layer: the scatter kernel the
+/// engine runs, or the gather oracle.
+double measure_kernel(const snn::SnnModel& model, bool gather,
+                      const std::vector<snn::SpikeMap>& inputs, double min_ms) {
+    const snn::SnnLayer& layer = model.layers.front();
+    const bool conv = layer.op == snn::LayerOp::kConv;
+    const auto wt = conv ? snn::compute::transpose_conv(layer.main)
+                         : snn::compute::transpose_linear(layer.main);
+    std::vector<std::int32_t> psum(static_cast<std::size_t>(layer.neurons()));
+    const auto pass = [&] {
+        for (const auto& in : inputs) {
+            if (conv && gather) {
+                snn::compute::conv_psum(layer.main, wt, in, layer.out_h, layer.out_w,
+                                        psum);
+            } else if (conv) {
+                snn::compute::conv_psum_scatter(layer.main, wt, in, layer.out_h,
+                                                layer.out_w, psum);
+            } else if (gather) {
+                snn::compute::linear_psum(layer.main, wt, in, psum);
+            } else {
+                snn::compute::linear_psum_scatter(layer.main, wt, in, psum);
+            }
+        }
+    };
+    return best_steps_per_sec(pass, static_cast<std::int64_t>(inputs.size()), min_ms);
 }
 
 struct ResultRow {
@@ -139,19 +177,17 @@ struct ResultRow {
     bool conv = true;
     double density = 0.0;
     double measured_density = 0.0;
-    double dense_sps = 0.0;
-    double scatter_sps = 0.0;
-    double adaptive_sps = 0.0;
-    double adaptive_scatter_fraction = 0.0;
-    /// Fire-stage sweep (both under adaptive psum dispatch): the scalar
-    /// per-neuron loop vs the fused vector kernels. vector_fire_sps is
-    /// the same configuration as adaptive_sps and reuses its reading.
+    double engine_sps = 0.0;          ///< whole step: scatter psum + fused fire
+    double scatter_psum_sps = 0.0;    ///< scatter kernel alone
+    double gather_psum_sps = 0.0;     ///< gather oracle kernel alone
+    /// Fire-stage sweep: the scalar per-neuron loop vs the fused vector
+    /// kernels. The vector reading is the engine reading (same config).
     double scalar_fire_sps = 0.0;
-    double vector_fire_sps = 0.0;
 };
 
-void write_json(const std::string& path, const std::vector<ResultRow>& rows, bool quick,
-                double threshold) {
+double ratio(double a, double b) { return b > 0 ? a / b : 0.0; }
+
+void write_json(const std::string& path, const std::vector<ResultRow>& rows, bool quick) {
     std::ofstream out(path, std::ios::trunc);
     if (!out) {
         std::cerr << "engine_hotpath: cannot open " << path << "\n";
@@ -159,19 +195,17 @@ void write_json(const std::string& path, const std::vector<ResultRow>& rows, boo
     }
     out << "{\n  \"bench\": \"engine_hotpath\",\n"
         << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-        << "  \"scatter_density_threshold\": " << threshold << ",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ResultRow& r = rows[i];
         out << "    {\"shape\": \"" << r.shape << "\", \"kind\": \""
             << (r.conv ? "conv" : "linear") << "\", \"density\": " << r.density
             << ", \"measured_density\": " << r.measured_density
-            << ", \"dense_steps_per_sec\": " << r.dense_sps
-            << ", \"scatter_steps_per_sec\": " << r.scatter_sps
-            << ", \"adaptive_steps_per_sec\": " << r.adaptive_sps
-            << ", \"adaptive_scatter_fraction\": " << r.adaptive_scatter_fraction
-            << ", \"scatter_speedup\": " << (r.dense_sps > 0 ? r.scatter_sps / r.dense_sps : 0.0)
-            << ", \"adaptive_speedup\": " << (r.dense_sps > 0 ? r.adaptive_sps / r.dense_sps : 0.0)
+            << ", \"engine_steps_per_sec\": " << r.engine_sps
+            << ", \"scatter_psum_steps_per_sec\": " << r.scatter_psum_sps
+            << ", \"gather_psum_steps_per_sec\": " << r.gather_psum_sps
+            << ", \"scatter_speedup\": " << ratio(r.scatter_psum_sps, r.gather_psum_sps)
+            << ", \"engine_vs_gather\": " << ratio(r.engine_sps, r.gather_psum_sps)
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"fire_results\": [\n";
@@ -180,9 +214,8 @@ void write_json(const std::string& path, const std::vector<ResultRow>& rows, boo
         out << "    {\"shape\": \"" << r.shape << "\", \"kind\": \""
             << (r.conv ? "conv" : "linear") << "\", \"density\": " << r.density
             << ", \"scalar_fire_steps_per_sec\": " << r.scalar_fire_sps
-            << ", \"vector_fire_steps_per_sec\": " << r.vector_fire_sps
-            << ", \"fire_speedup\": "
-            << (r.scalar_fire_sps > 0 ? r.vector_fire_sps / r.scalar_fire_sps : 0.0)
+            << ", \"vector_fire_steps_per_sec\": " << r.engine_sps
+            << ", \"fire_speedup\": " << ratio(r.engine_sps, r.scalar_fire_sps)
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -227,27 +260,28 @@ int main(int argc, char** argv) {
          .in_feat_w = 64,
          .out_features = 512},
     };
-    std::vector<double> densities = {0.01, 0.05, 0.10, 0.15, 0.25, 0.50};
+    // 0.75 and 1.0 are recorded, not gated: they chart where the gather
+    // oracle overtakes the scatter kernel, a density no served workload
+    // reaches.
+    std::vector<double> densities = {0.01, 0.05, 0.10, 0.15, 0.25, 0.50, 0.75, 1.0};
     if (quick) {
         shapes = {shapes[0], shapes[4]};  // headline VGG conv block + the FC
         densities = {0.05, 0.25};
     }
 
-    const snn::EngineConfig adaptive;  // defaults: kAdaptive + vector fire
+    const snn::EngineConfig engine_config;  // defaults: vector fire
     const snn::EngineConfig scalar_fire{.fire = snn::FirePath::kScalar};
     std::cout << "==============================================================\n"
-              << "Engine hot path: dense vs scatter vs adaptive dispatch,\n"
-              << "scalar vs fused-vector fire stage\n"
-              << "(steps/s of FunctionalEngine::step, T=16 inputs per pass,\n"
-              << " adaptive threshold " << adaptive.scatter_density_threshold << ")\n"
+              << "Engine hot path: engine step vs scatter and gather psum\n"
+              << "kernels, scalar vs fused-vector fire stage\n"
+              << "(steps/s, T=16 inputs per pass)\n"
               << "==============================================================\n";
 
     std::vector<ResultRow> rows;
     util::Table table("engine_hotpath" + std::string(quick ? " (quick)" : ""));
-    table.header({"shape", "density", "dense st/s", "scatter st/s", "adaptive st/s",
-                  "adapt path", "speedup"});
-    util::Table fire_table("fire stage: scalar loop vs fused vector kernels "
-                           "(adaptive dispatch)");
+    table.header({"shape", "density", "engine st/s", "scatter psum/s", "gather psum/s",
+                  "scatter/gather"});
+    util::Table fire_table("fire stage: scalar loop vs fused vector kernels");
     fire_table.header({"shape", "density", "scalar st/s", "vector st/s", "speedup"});
 
     bool check_failed = false;
@@ -268,42 +302,34 @@ int main(int argc, char** argv) {
             row.density = density;
             row.measured_density =
                 sites > 0 ? static_cast<double>(spikes) / static_cast<double>(sites) : 0.0;
-            row.dense_sps =
-                measure(model, {.dispatch = snn::DispatchMode::kDense}, inputs, min_ms)
-                    .steps_per_sec;
-            row.scatter_sps =
-                measure(model, {.dispatch = snn::DispatchMode::kScatter}, inputs, min_ms)
-                    .steps_per_sec;
-            const Measurement ad = measure(model, adaptive, inputs, min_ms);
-            row.adaptive_sps = ad.steps_per_sec;
-            row.adaptive_scatter_fraction = ad.scatter_fraction;
-            // Fire-stage sweep: same adaptive psum dispatch, scalar
-            // fire loop vs the fused kernels (= the adaptive reading).
-            row.scalar_fire_sps = measure(model, scalar_fire, inputs, min_ms).steps_per_sec;
-            row.vector_fire_sps = row.adaptive_sps;
+            row.engine_sps = measure_engine(model, engine_config, inputs, min_ms);
+            row.scatter_psum_sps = measure_kernel(model, false, inputs, min_ms);
+            row.gather_psum_sps = measure_kernel(model, true, inputs, min_ms);
+            row.scalar_fire_sps = measure_engine(model, scalar_fire, inputs, min_ms);
             rows.push_back(row);
 
-            table.row({shape.name, util::cell(density, 2), util::cell(row.dense_sps, 0),
-                       util::cell(row.scatter_sps, 0), util::cell(row.adaptive_sps, 0),
-                       ad.scatter_fraction >= 0.5 ? "scatter" : "dense",
-                       util::cell(row.adaptive_sps / row.dense_sps, 2) + "x"});
+            table.row({shape.name, util::cell(density, 2), util::cell(row.engine_sps, 0),
+                       util::cell(row.scatter_psum_sps, 0),
+                       util::cell(row.gather_psum_sps, 0),
+                       util::cell(ratio(row.scatter_psum_sps, row.gather_psum_sps), 2) +
+                           "x"});
             fire_table.row({shape.name, util::cell(density, 2),
                             util::cell(row.scalar_fire_sps, 0),
-                            util::cell(row.vector_fire_sps, 0),
-                            util::cell(row.vector_fire_sps / row.scalar_fire_sps, 2) +
+                            util::cell(row.engine_sps, 0),
+                            util::cell(ratio(row.engine_sps, row.scalar_fire_sps), 2) +
                                 "x"});
 
             if (check && shape.conv && density <= 0.05 + 1e-9) {
-                if (row.adaptive_sps < row.dense_sps) {
+                if (row.engine_sps < row.gather_psum_sps) {
                     check_failed = true;
-                    std::cerr << "CHECK FAILED: adaptive (" << row.adaptive_sps
-                              << " steps/s) slower than dense (" << row.dense_sps
-                              << " steps/s) on " << shape.name << " at density "
-                              << density << "\n";
+                    std::cerr << "CHECK FAILED: engine step (" << row.engine_sps
+                              << " steps/s) slower than the gather psum kernel alone ("
+                              << row.gather_psum_sps << " steps/s) on " << shape.name
+                              << " at density " << density << "\n";
                 }
-                if (row.vector_fire_sps < row.scalar_fire_sps) {
+                if (row.engine_sps < row.scalar_fire_sps) {
                     check_failed = true;
-                    std::cerr << "CHECK FAILED: fused fire (" << row.vector_fire_sps
+                    std::cerr << "CHECK FAILED: fused fire (" << row.engine_sps
                               << " steps/s) slower than scalar fire ("
                               << row.scalar_fire_sps << " steps/s) on " << shape.name
                               << " at density " << density << "\n";
@@ -316,7 +342,7 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     fire_table.print(std::cout);
 
-    write_json(out_path, rows, quick, adaptive.scatter_density_threshold);
+    write_json(out_path, rows, quick);
     std::cout << "wrote " << out_path << "\n";
 
     if (check_failed) {

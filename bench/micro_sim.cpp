@@ -63,7 +63,7 @@ void BM_ConvPsum(benchmark::State& state) {
     for (std::int64_t i = 0; i < in.size(); ++i) in.set_flat(i, rng.bernoulli(0.15));
     std::vector<std::int32_t> psum(static_cast<std::size_t>(64 * 16 * 16));
     for (auto _ : state) {
-        snn::compute::conv_psum(branch, wt, in, 16, 16, psum);
+        snn::compute::conv_psum_scatter(branch, wt, in, 16, 16, psum);
         benchmark::DoNotOptimize(psum.data());
     }
     state.SetItemsProcessed(state.iterations() * in.count() * 9 * 64);

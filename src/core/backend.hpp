@@ -363,9 +363,8 @@ private:
 
 /// Functional (bit-accurate, cycle-agnostic) backend: one private
 /// snn::FunctionalEngine per worker, built lazily on the worker's first
-/// request and reused across batches. Honors EngineConfig's
-/// density-adaptive kernel dispatch; responses carry the per-layer
-/// dispatch counters.
+/// request and reused across batches. Honors EngineConfig; responses
+/// carry the per-layer kernel and input-density counters.
 class FunctionalBackend final : public Backend {
 public:
     explicit FunctionalBackend(const snn::SnnModel& model,

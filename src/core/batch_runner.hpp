@@ -50,9 +50,9 @@ struct BatchOptions {
     /// thread count.
     std::uint64_t seed = util::kDefaultSeed;
     /// Execution knobs for the internal FunctionalBackend built by the
-    /// model-anchored constructor (kernel dispatch mode, scatter density
-    /// threshold). Ignored when the runner is constructed over an
-    /// explicit Backend — configure that backend directly instead.
+    /// model-anchored constructor (fire path, readout history). Ignored
+    /// when the runner is constructed over an explicit Backend —
+    /// configure that backend directly instead.
     snn::EngineConfig engine = {};
 };
 

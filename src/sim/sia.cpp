@@ -698,8 +698,11 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
         stats.dma += dma_.transfer(plan.spike_in_bytes * plan.oc_tiles *
                                    plan.spatial_tiles);
         const snn::SpikeMap& in = in_train[static_cast<std::size_t>(t)];
-        std::fill(psum.begin(), psum.end(), 0);
+        snn::compute::conv_psum_scatter(b, wt, in, oh, ow, psum, c0, c1);
 
+        // Weight-memory-chunked PE schedule: the arithmetic above is one
+        // event-driven pass (exact int32 adds, order-independent), so
+        // the chunk loop only charges each chunk's spike events.
         for (std::int64_t pass = 0; pass < plan.ic_passes; ++pass) {
             const std::int64_t ic0 = pass * plan.ic_chunk;
             const std::int64_t ic1 = std::min(b.in_channels, ic0 + plan.ic_chunk);
@@ -716,7 +719,6 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
                 stats.event_additions +=
                     chunk_spikes * b.kernel * b.kernel * tile_lanes;
             }
-            snn::compute::conv_psum_chunk_oc(b, wt, in, oh, ow, ic0, ic1, c0, c1, psum);
         }
         stats.dense_ops += dense_per_step;
 
@@ -725,7 +727,8 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
             const snn::SpikeMap& skip_in = (*skip_train)[static_cast<std::size_t>(t)];
             stats.dma += dma_.transfer(plan.residual_in_bytes);
             if (has_down_skip) {
-                std::fill(skip_psum.begin(), skip_psum.end(), 0);
+                snn::compute::conv_psum_scatter(layer.skip, skip_weights, skip_in, oh, ow,
+                                                skip_psum, c0, c1);
                 std::int64_t skip_spikes = 0;
                 for (const auto n : skip_counts[static_cast<std::size_t>(t)]) {
                     skip_spikes += n;
@@ -737,9 +740,6 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
                     stats.event_additions +=
                         skip_spikes * std::min(lanes, span - tile * lanes);
                 }
-                snn::compute::conv_psum_chunk_oc(layer.skip, skip_weights, skip_in, oh,
-                                                 ow, 0, layer.skip.in_channels, c0, c1,
-                                                 skip_psum);
                 stats.dense_ops += skip_dense_per_step;
             }
         }
@@ -899,7 +899,7 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan,
             stats.input_spike_events += in_spikes;
             stats.event_additions += in_spikes * tile_lanes;
         }
-        snn::compute::linear_psum_range(b, wt, in, c0, c1, psum);
+        snn::compute::linear_psum_scatter(b, wt, in, psum, c0, c1);
         stats.dense_ops += dense_per_step;
 
         controller_.transition(CtrlState::kAggregate);

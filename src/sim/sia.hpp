@@ -7,10 +7,14 @@
 // between the U1/U2 banks), results pass through the aggregation core,
 // and output spikes are written back — then the next layer runs.
 //
-// Numerics go through snn::compute (shared with the functional engine),
-// so the simulated spikes/logits are bit-identical to the reference by
-// construction; what this class adds is the cycle, transfer and
-// occupancy accounting of the hardware.
+// Numerics go through snn::compute (shared with the functional engine):
+// partial sums run through the same event-driven scatter kernels, one
+// call per layer per timestep (per branch), so the simulated
+// spikes/logits are bit-identical to the reference by construction.
+// What this class adds is the cycle, transfer and occupancy accounting
+// of the hardware, which is derived from per-channel spike counts and
+// the LayerPlan (weight-memory chunks x output-channel tiles), never
+// from how the host performs the arithmetic.
 #pragma once
 
 #include <cstddef>

@@ -31,26 +31,82 @@ std::vector<std::int8_t> transpose_linear(const Branch& b) {
     return wt;
 }
 
-void conv_psum_chunk(const Branch& b, const std::vector<std::int8_t>& wt,
-                     const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                     std::int64_t ic_begin, std::int64_t ic_end,
-                     std::span<std::int32_t> psum) {
-    conv_psum_chunk_oc(b, wt, in, out_h, out_w, ic_begin, ic_end, 0, b.out_channels,
-                       psum);
+void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
+                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
+                       std::span<std::int32_t> psum, std::int64_t oc_begin,
+                       std::int64_t oc_end) {
+    const std::int64_t oc = b.out_channels;
+    if (oc_end < 0) oc_end = oc;
+    const std::int64_t span = oc_end - oc_begin;
+    if (span <= 0) return;
+    if (span == oc) {
+        std::fill(psum.begin(), psum.end(), 0);
+    } else {
+        for (std::int64_t site = 0; site < out_h * out_w; ++site) {
+            std::int32_t* prow = psum.data() + site * oc + oc_begin;
+            std::fill(prow, prow + span, 0);
+        }
+    }
+    const std::int64_t in_w = in.width();
+    const std::int64_t plane = in.height() * in_w;
+    // Offset both faces by oc_begin once so the inner add runs 0..span.
+    const std::int8_t* wbase = wt.data() + oc_begin;
+    std::int32_t* pbase = psum.data() + oc_begin;
+    in.for_each_spike([&](std::int64_t flat) {
+        const std::int64_t ic = flat / plane;
+        const std::int64_t rem = flat - ic * plane;
+        const std::int64_t iy = rem / in_w;
+        const std::int64_t ix = rem - iy * in_w;
+        const std::int8_t* wplane = wbase + ic * b.kernel * b.kernel * oc;
+        for (std::int64_t ky = 0; ky < b.kernel; ++ky) {
+            // Output rows hit by this spike: y * stride + ky - padding == iy.
+            const std::int64_t ty = iy + b.padding - ky;
+            if (ty < 0) break;  // ty only decreases with ky
+            if (ty % b.stride != 0) continue;
+            const std::int64_t y = ty / b.stride;
+            if (y >= out_h) continue;
+            const std::int8_t* wrow_y = wplane + ky * b.kernel * oc;
+            std::int32_t* prow_y = pbase + y * out_w * oc;
+            for (std::int64_t kx = 0; kx < b.kernel; ++kx) {
+                const std::int64_t tx = ix + b.padding - kx;
+                if (tx < 0) break;
+                if (tx % b.stride != 0) continue;
+                const std::int64_t x = tx / b.stride;
+                if (x >= out_w) continue;
+                const std::int8_t* wrow = wrow_y + kx * oc;
+                std::int32_t* prow = prow_y + x * oc;
+                for (std::int64_t o = 0; o < span; ++o) prow[o] += wrow[o];
+            }
+        }
+    });
 }
 
-void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
-                        const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                        std::int64_t ic_begin, std::int64_t ic_end,
-                        std::int64_t oc_begin, std::int64_t oc_end,
-                        std::span<std::int32_t> psum) {
+void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
+                         const SpikeMap& in, std::span<std::int32_t> psum,
+                         std::int64_t f_begin, std::int64_t f_end) {
+    const std::int64_t features = b.out_features;
+    if (f_end < 0) f_end = features;
+    const std::int64_t span = f_end - f_begin;
+    if (span <= 0) return;
+    std::int32_t* p = psum.data() + f_begin;
+    std::fill(p, p + span, 0);
+    const std::int8_t* wbase = wt.data() + f_begin;
+    in.for_each_spike([&](std::int64_t d) {
+        const std::int8_t* wrow = wbase + d * features;
+        for (std::int64_t f = 0; f < span; ++f) p[f] += wrow[f];
+    });
+}
+
+void conv_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
+               std::int64_t out_h, std::int64_t out_w, std::span<std::int32_t> psum) {
+    std::fill(psum.begin(), psum.end(), 0);
     const std::int64_t oc = b.out_channels;
     const std::int64_t in_h = in.height();
     const std::int64_t in_w = in.width();
     for (std::int64_t y = 0; y < out_h; ++y) {
         for (std::int64_t x = 0; x < out_w; ++x) {
             std::int32_t* prow = psum.data() + (y * out_w + x) * oc;
-            for (std::int64_t ic = ic_begin; ic < ic_end; ++ic) {
+            for (std::int64_t ic = 0; ic < b.in_channels; ++ic) {
                 for (std::int64_t ky = 0; ky < b.kernel; ++ky) {
                     const std::int64_t iy = y * b.stride + ky - b.padding;
                     if (iy < 0 || iy >= in_h) continue;
@@ -60,9 +116,7 @@ void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
                         if (!in.get(ic, iy, ix)) continue;
                         const std::int8_t* wrow =
                             wt.data() + ((ic * b.kernel + ky) * b.kernel + kx) * oc;
-                        for (std::int64_t o = oc_begin; o < oc_end; ++o) {
-                            prow[o] += wrow[o];
-                        }
+                        for (std::int64_t o = 0; o < oc; ++o) prow[o] += wrow[o];
                     }
                 }
             }
@@ -70,75 +124,16 @@ void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
     }
 }
 
-void conv_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
-               std::int64_t out_h, std::int64_t out_w, std::span<std::int32_t> psum) {
-    std::fill(psum.begin(), psum.end(), 0);
-    conv_psum_chunk(b, wt, in, out_h, out_w, 0, b.in_channels, psum);
-}
-
-void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                       std::span<std::int32_t> psum) {
-    std::fill(psum.begin(), psum.end(), 0);
-    const std::int64_t oc = b.out_channels;
-    const std::int64_t in_w = in.width();
-    const std::int64_t plane = in.height() * in_w;
-    in.for_each_spike([&](std::int64_t flat) {
-        const std::int64_t ic = flat / plane;
-        const std::int64_t rem = flat - ic * plane;
-        const std::int64_t iy = rem / in_w;
-        const std::int64_t ix = rem - iy * in_w;
-        const std::int8_t* wplane = wt.data() + ic * b.kernel * b.kernel * oc;
-        for (std::int64_t ky = 0; ky < b.kernel; ++ky) {
-            // Output rows hit by this spike: y * stride + ky - padding == iy.
-            const std::int64_t ty = iy + b.padding - ky;
-            if (ty < 0) break;  // ty only decreases with ky
-            if (ty % b.stride != 0) continue;
-            const std::int64_t y = ty / b.stride;
-            if (y >= out_h) continue;
-            const std::int8_t* wrow_y = wplane + ky * b.kernel * oc;
-            std::int32_t* prow_y = psum.data() + y * out_w * oc;
-            for (std::int64_t kx = 0; kx < b.kernel; ++kx) {
-                const std::int64_t tx = ix + b.padding - kx;
-                if (tx < 0) break;
-                if (tx % b.stride != 0) continue;
-                const std::int64_t x = tx / b.stride;
-                if (x >= out_w) continue;
-                const std::int8_t* wrow = wrow_y + kx * oc;
-                std::int32_t* prow = prow_y + x * oc;
-                for (std::int64_t o = 0; o < oc; ++o) prow[o] += wrow[o];
-            }
-        }
-    });
-}
-
 void linear_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
                  std::span<std::int32_t> psum) {
-    linear_psum_range(b, wt, in, 0, b.out_features, psum);
-}
-
-void linear_psum_range(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t f_begin, std::int64_t f_end,
-                       std::span<std::int32_t> psum) {
-    std::fill(psum.begin() + f_begin, psum.begin() + f_end, 0);
+    std::fill(psum.begin(), psum.end(), 0);
     for (std::int64_t d = 0; d < b.in_features; ++d) {
         if (!in.get_flat(d)) continue;
         const std::int8_t* wrow = wt.data() + d * b.out_features;
-        for (std::int64_t f = f_begin; f < f_end; ++f) {
+        for (std::int64_t f = 0; f < b.out_features; ++f) {
             psum[static_cast<std::size_t>(f)] += wrow[f];
         }
     }
-}
-
-void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                         const SpikeMap& in, std::span<std::int32_t> psum) {
-    std::fill(psum.begin(), psum.end(), 0);
-    const std::int64_t features = b.out_features;
-    std::int32_t* p = psum.data();
-    in.for_each_spike([&](std::int64_t d) {
-        const std::int8_t* wrow = wt.data() + d * features;
-        for (std::int64_t f = 0; f < features; ++f) p[f] += wrow[f];
-    });
 }
 
 namespace {

@@ -1,10 +1,12 @@
 // Shared integer compute primitives for SnnModel execution.
 //
 // Both the functional engine (snn::FunctionalEngine) and the
-// cycle-accurate hardware simulator (sim::Sia) perform their numerics
-// through these functions — one implementation, two schedulers — which
-// is what makes the bit-exact software/hardware co-verification a
-// structural property rather than a testing aspiration.
+// cycle-accurate hardware simulator (sim::Sia) compute their partial
+// sums through the same event-driven scatter kernels — one
+// implementation, two schedulers — which is what makes the bit-exact
+// software/hardware co-verification a structural property rather than
+// a testing aspiration. The gather forms (conv_psum, linear_psum) are
+// kept only as the test oracle the scatter kernels are checked against.
 #pragma once
 
 #include <cstdint>
@@ -17,72 +19,52 @@
 
 namespace sia::snn::compute {
 
-/// Transpose conv weights [OC][IC][k][k] -> [IC*k*k][OC] (gather layout).
+/// Transpose conv weights [OC][IC][k][k] -> [IC*k*k][OC]: each input
+/// tap's weights contiguous over output channels.
 [[nodiscard]] std::vector<std::int8_t> transpose_conv(const Branch& b);
 
 /// Transpose linear weights [F][D] -> [D][F].
 [[nodiscard]] std::vector<std::int8_t> transpose_linear(const Branch& b);
 
-/// Gather-form convolution partial sums: scans every output pixel x
-/// input tap and accumulates where the input bit is set, so cost is
-/// O(out_h * out_w * IC * k * k) scan plus O(spikes * k * k * OC) adds
-/// regardless of sparsity. `psum` is HWC ([out_h][out_w][OC], int32)
-/// and is cleared first. Accumulation is exact int32
-/// (order-independent); 16-bit saturation is applied at aggregation
-/// handoff, matching the PE-to-aggregation-core interface.
+/// Event-driven convolution partial sums — the one psum path both
+/// engines run. Iterates the input's spike events via the packed-word
+/// iterator and scatters each spike's [k][k][OC] weight rows into the
+/// output windows it touches: O(spikes * k * k * OC) with no dense
+/// scan, so cost scales with activity. `psum` is HWC
+/// ([out_h][out_w][OC], int32). Only output channels [oc_begin, oc_end)
+/// are cleared and accumulated (a negative `oc_end` means the whole
+/// layer) — the channel-parallel shard schedule, where each accelerator
+/// owns a contiguous slice of a layer's output channels; `psum` keeps
+/// the full-OC stride either way. Accumulation is exact int32 and
+/// order-independent, so disjoint slices compose bit-identically to one
+/// full pass; 16-bit saturation is applied at aggregation handoff,
+/// matching the PE-to-aggregation-core interface.
+void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
+                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
+                       std::span<std::int32_t> psum, std::int64_t oc_begin = 0,
+                       std::int64_t oc_end = -1);
+
+/// Event-driven fully-connected partial sums ([F] layout): word-skips
+/// the packed input to visit only spike events, accumulating each
+/// spike's weight row. Only output features [f_begin, f_end) are
+/// cleared and accumulated (a negative `f_end` means the whole layer),
+/// with the same slice-composition guarantee as conv_psum_scatter.
+void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
+                         const SpikeMap& in, std::span<std::int32_t> psum,
+                         std::int64_t f_begin = 0, std::int64_t f_end = -1);
+
+/// Gather-form test oracle for conv_psum_scatter: scans every output
+/// pixel x input tap and accumulates where the input bit is set
+/// (O(out_h * out_w * IC * k * k) regardless of sparsity). Clears the
+/// whole `psum` first. No engine runs it; the kernel tests and the
+/// hot-path bench compare the scatter kernel against it.
 void conv_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
                std::int64_t out_h, std::int64_t out_w, std::span<std::int32_t> psum);
 
-/// As conv_psum but restricted to input channels [ic_begin, ic_end) and
-/// accumulating into `psum` without clearing — the weight-memory-chunked
-/// schedule of the hardware.
-void conv_psum_chunk(const Branch& b, const std::vector<std::int8_t>& wt,
-                     const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                     std::int64_t ic_begin, std::int64_t ic_end,
-                     std::span<std::int32_t> psum);
-
-/// As conv_psum_chunk but additionally restricted to output channels
-/// [oc_begin, oc_end) — the channel-parallel shard schedule, where each
-/// accelerator owns a contiguous slice of a layer's output channels.
-/// `psum` keeps the full-OC HWC stride; only the slice's entries are
-/// touched, and each touched entry receives exactly the additions the
-/// unsliced kernel performs (int32, order-independent), so disjoint
-/// slices compose bit-identically to one full pass.
-void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
-                        const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                        std::int64_t ic_begin, std::int64_t ic_end,
-                        std::int64_t oc_begin, std::int64_t oc_end,
-                        std::span<std::int32_t> psum);
-
-/// Scatter-form (truly event-driven) convolution partial sums: iterates
-/// the input's spike events via the packed-word iterator and scatters
-/// each spike's [k][k][OC] weight rows into the output windows it
-/// touches — O(spikes * k * k * OC) with no dense scan, so cost scales
-/// with activity. Bit-identical to conv_psum: both perform the same
-/// multiset of exact int32 additions, which are order-independent.
-void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                       std::span<std::int32_t> psum);
-
-/// Gather-form fully-connected partial sums ([F], cleared first): scans
-/// every input feature's bit and accumulates the set ones.
+/// Gather-form test oracle for linear_psum_scatter ([F], cleared
+/// first): scans every input feature's bit and accumulates the set ones.
 void linear_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
                  std::span<std::int32_t> psum);
-
-/// As linear_psum but restricted to output features [f_begin, f_end) —
-/// the channel-parallel shard schedule for FC layers. `psum` keeps the
-/// full-F layout; only the slice's entries are cleared and accumulated,
-/// bit-identically to the matching entries of one full pass.
-void linear_psum_range(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t f_begin, std::int64_t f_end,
-                       std::span<std::int32_t> psum);
-
-/// Scatter-form fully-connected partial sums: word-skips the packed
-/// input to visit only spike events, accumulating each spike's [F]
-/// weight row. Bit-identical to linear_psum (same adds, same ascending
-/// feature order).
-void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                         const SpikeMap& in, std::span<std::int32_t> psum);
 
 /// Cache-blocked [plane][channels] -> [channels][plane] int32 transpose:
 /// reorders an HWC psum accumulation bank into the CHW order the fused

@@ -117,18 +117,6 @@ void FunctionalEngine::restore_session(const SessionState& session) {
     reset_stats();
 }
 
-bool FunctionalEngine::use_scatter(const SpikeMap& in) const noexcept {
-    switch (config_.dispatch) {
-        case DispatchMode::kDense: return false;
-        case DispatchMode::kScatter: return true;
-        case DispatchMode::kAdaptive: break;
-    }
-    const std::int64_t sites = in.size();
-    return sites > 0 &&
-           static_cast<double>(in.count()) <
-               config_.scatter_density_threshold * static_cast<double>(sites);
-}
-
 const SpikeMap& FunctionalEngine::source_spikes(int src, const SpikeMap& input) const {
     return src == -1 ? input : spikes_.at(static_cast<std::size_t>(src));
 }
@@ -143,52 +131,19 @@ void FunctionalEngine::step(const SpikeMap& input) {
         const SnnLayer& layer = model_.layers[i];
         const SpikeMap& in = source_spikes(layer.input, input);
         if (layer.op == LayerOp::kConv) {
-            run_conv_layer(i, in);
+            compute::conv_psum_scatter(layer.main, main_wt_[i], in, layer.out_h,
+                                       layer.out_w, state_[i].accum());
         } else {
-            run_linear_layer(i, in);
+            compute::linear_psum_scatter(layer.main, main_wt_[i], in, state_[i].accum());
         }
+        LayerDispatchStats& d = dispatch_[i];
+        ++d.scatter_steps;
+        d.input_spikes += in.count();
+        d.input_sites += in.size();
         integrate_and_fire(i);
         // integrate_and_fire needs the skip source; it reads it lazily via
         // the spikes_ array, which is valid because skip_src < i.
     }
-}
-
-bool FunctionalEngine::dispatch_conv(const Branch& b, const std::vector<std::int8_t>& wt,
-                                     const SpikeMap& in, std::int64_t out_h,
-                                     std::int64_t out_w,
-                                     std::span<std::int32_t> psum) {
-    const bool scatter = use_scatter(in);
-    if (scatter) {
-        compute::conv_psum_scatter(b, wt, in, out_h, out_w, psum);
-    } else {
-        compute::conv_psum(b, wt, in, out_h, out_w, psum);
-    }
-    return scatter;
-}
-
-void FunctionalEngine::run_conv_layer(std::size_t index, const SpikeMap& input) {
-    const SnnLayer& layer = model_.layers[index];
-    LayerDispatchStats& d = dispatch_[index];
-    const bool scatter = dispatch_conv(layer.main, main_wt_[index], input, layer.out_h,
-                                       layer.out_w, state_[index].accum());
-    ++(scatter ? d.scatter_steps : d.dense_steps);
-    d.input_spikes += input.count();
-    d.input_sites += input.size();
-}
-
-void FunctionalEngine::run_linear_layer(std::size_t index, const SpikeMap& input) {
-    const SnnLayer& layer = model_.layers[index];
-    LayerDispatchStats& d = dispatch_[index];
-    const bool scatter = use_scatter(input);
-    if (scatter) {
-        compute::linear_psum_scatter(layer.main, main_wt_[index], input,
-                                     state_[index].accum());
-    } else {
-        compute::linear_psum(layer.main, main_wt_[index], input, state_[index].accum());
-    }
-    ++(scatter ? d.scatter_steps : d.dense_steps);
-    d.input_spikes += input.count();
-    d.input_sites += input.size();
 }
 
 void FunctionalEngine::integrate_and_fire(std::size_t index) {
@@ -218,10 +173,9 @@ void FunctionalEngine::integrate_and_fire(std::size_t index) {
                           ? current_input_
                           : &spikes_.at(static_cast<std::size_t>(layer.skip_src));
         if (!layer.skip_is_identity) {
-            // Same density-adaptive choice as the main branch (counters
-            // track the main branch only; the downsample rides along).
-            (void)dispatch_conv(layer.skip, skip_wt_[index], *skip_spikes, layer.out_h,
-                                layer.out_w, st.skip_accum());
+            // Counters track the main branch only.
+            compute::conv_psum_scatter(layer.skip, skip_wt_[index], *skip_spikes,
+                                       layer.out_h, layer.out_w, st.skip_accum());
         }
     }
 

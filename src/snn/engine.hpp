@@ -28,19 +28,9 @@ namespace sia::snn {
 /// readout comparator tree implements).
 [[nodiscard]] std::size_t argmax_first(std::span<const std::int64_t> logits) noexcept;
 
-/// Which psum kernel form FunctionalEngine uses per layer per timestep.
-enum class DispatchMode : std::uint8_t {
-    /// Per layer per timestep: scatter when the input map's density
-    /// (O(1) spike count / sites) is below the configured threshold,
-    /// dense gather otherwise.
-    kAdaptive,
-    kDense,    ///< always the gather kernels (the pre-dispatch behaviour)
-    kScatter,  ///< always the scatter kernels
-};
-
-/// Which fire-stage implementation FunctionalEngine runs. Like the psum
-/// dispatch, both paths are bit-identical (spikes, membranes, logits) —
-/// the choice only trades throughput.
+/// Which fire-stage implementation FunctionalEngine runs. Both paths
+/// are bit-identical (spikes, membranes, logits) — the choice only
+/// trades throughput.
 enum class FirePath : std::uint8_t {
     /// Fused SoA kernels (compute::aggregate_fire_*): 64 neurons per
     /// iteration, spike words emitted directly. The default.
@@ -51,17 +41,10 @@ enum class FirePath : std::uint8_t {
     kScalar,
 };
 
-/// Execution knobs of FunctionalEngine. Both paths of either knob are
-/// bit-identical, so this only trades throughput, never results.
+/// Execution knobs of FunctionalEngine. None changes results. Partial
+/// sums always run through the event-driven scatter kernels
+/// (compute::conv_psum_scatter / linear_psum_scatter).
 struct EngineConfig {
-    DispatchMode dispatch = DispatchMode::kAdaptive;
-    /// kAdaptive: input densities strictly below this run the scatter
-    /// kernels. Default calibrated with bench/engine_hotpath: scatter
-    /// wins decisively at paper-realistic 5-15% rates (2-5x on VGG conv
-    /// shapes) and stays ahead through ~25%; the dense scan is only
-    /// competitive once maps approach half-full, so that is where the
-    /// adaptive path falls back to it.
-    double scatter_density_threshold = 0.5;
     /// Fire-stage implementation (vectorized fused kernels vs scalar
     /// reference loop).
     FirePath fire = FirePath::kVector;
@@ -73,9 +56,12 @@ struct EngineConfig {
     bool record_readout_history = true;
 };
 
-/// Per-layer dispatch counters accumulated across step() calls.
+/// Per-layer kernel counters accumulated across step() calls.
 struct LayerDispatchStats {
-    std::int64_t dense_steps = 0;    ///< timesteps run through the gather kernel
+    /// Timesteps run through a gather kernel: always 0, since the
+    /// scatter kernels are the only psum path (kept so readers of the
+    /// counter need no change).
+    std::int64_t dense_steps = 0;
     std::int64_t scatter_steps = 0;  ///< timesteps run through the scatter kernel
     std::int64_t vector_fire_steps = 0;  ///< timesteps fired through the fused kernels
     std::int64_t scalar_fire_steps = 0;  ///< timesteps fired through the scalar loop
@@ -131,8 +117,8 @@ struct RunResult {
 class FunctionalEngine {
 public:
     /// Keeps a reference to `model` (must outlive the engine); validates
-    /// it and precomputes the shared transposed weight layouts (used by
-    /// gather and scatter kernels alike).
+    /// it and precomputes the transposed weight layouts the scatter
+    /// kernels read.
     explicit FunctionalEngine(const SnnModel& model, EngineConfig config = {});
 
     /// Full reset: membranes to their initial potential, readout
@@ -225,8 +211,6 @@ private:
     /// the whole train.
     [[nodiscard]] RunResult run_window_impl(const SpikeTrain& input,
                                             const ExitCriterion* exit);
-    void run_conv_layer(std::size_t index, const SpikeMap& input);
-    void run_linear_layer(std::size_t index, const SpikeMap& input);
     void integrate_and_fire(std::size_t index);
     /// Fire-stage implementations over the layer's SoA banks; both
     /// update membranes + spikes_[index] identically (spike emission
@@ -235,18 +219,11 @@ private:
     void fire_vector(std::size_t index, const SpikeMap* skip_spikes);
     void fire_scalar(std::size_t index, const SpikeMap* skip_spikes);
     [[nodiscard]] const SpikeMap& source_spikes(int src, const SpikeMap& input) const;
-    /// Density-adaptive path choice for one kernel invocation.
-    [[nodiscard]] bool use_scatter(const SpikeMap& in) const noexcept;
-    /// Run one conv psum through the dispatched kernel form; returns
-    /// true when the scatter path was taken.
-    bool dispatch_conv(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                       std::span<std::int32_t> psum);
 
     const SnnModel& model_;
     EngineConfig config_;
-    /// Transposed weights per layer branch: [IC*k*k][OC] contiguous in OC
-    /// for cache-friendly gather accumulation.
+    /// Transposed weights per layer branch: [IC*k*k][OC] contiguous in
+    /// OC, so each spike scatters whole weight rows.
     std::vector<std::vector<std::int8_t>> main_wt_;
     std::vector<std::vector<std::int8_t>> skip_wt_;
 

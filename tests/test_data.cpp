@@ -1,4 +1,4 @@
-// Dataset tests: synthetic generator, normalisation, augmentation,
+// Dataset tests: synthetic generator, normalisation,
 // event streams, CIFAR loader behaviour without data files.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "data/augment.hpp"
 #include "data/cifar.hpp"
 #include "data/events.hpp"
 #include "data/synthetic.hpp"
@@ -88,27 +87,6 @@ TEST(Dataset, SampleExtraction) {
     EXPECT_EQ(s.shape(), (tensor::Shape{1, 3, 32, 32}));
     for (std::int64_t i = 0; i < s.numel(); ++i) {
         ASSERT_EQ(s.flat(i), tt.train.images.flat(3 * s.numel() + i));
-    }
-}
-
-TEST(Augment, AppendsCopiesAndKeepsLabels) {
-    SyntheticConfig cfg;
-    cfg.classes = 3;
-    cfg.train_per_class = 2;
-    const auto tt = make_synthetic(cfg);
-    AugmentConfig acfg;
-    acfg.copies = 2;
-    const Dataset aug = augment(tt.train, acfg);
-    EXPECT_EQ(aug.size(), tt.train.size() * 3);
-    for (std::int64_t i = 0; i < tt.train.size(); ++i) {
-        EXPECT_EQ(aug.labels[static_cast<std::size_t>(i)],
-                  tt.train.labels[static_cast<std::size_t>(i)]);
-        EXPECT_EQ(aug.labels[static_cast<std::size_t>(tt.train.size() + i)],
-                  tt.train.labels[static_cast<std::size_t>(i)]);
-    }
-    // Originals preserved verbatim.
-    for (std::int64_t i = 0; i < tt.train.images.numel(); ++i) {
-        ASSERT_EQ(aug.images.flat(i), tt.train.images.flat(i));
     }
 }
 

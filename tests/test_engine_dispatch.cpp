@@ -1,17 +1,19 @@
-// Dense-gather vs scatter kernel equivalence, the FunctionalEngine's
-// density-adaptive dispatch, and the vector-vs-scalar fire stage.
+// Scatter psum kernels against the gather oracle, and the
+// vector-vs-scalar fire stage of FunctionalEngine.
 //
-// The load-bearing properties: (1) conv_psum/linear_psum and their
-// *_scatter forms perform the same multiset of exact int32 additions,
-// so psums — and therefore spikes, membranes and logits — are
-// bit-identical no matter which path (or per-step mixture of paths)
-// runs; (2) the fused SoA fire kernels (compute::aggregate_fire_*)
-// execute the same util/fixed_point lane recipe as the scalar
-// aggregate()/update_neuron() loop, so the fire paths are bit-identical
-// too. The matrix here sweeps densities {0, 1 spike, 5%, 50%, 100%} x
-// stride/padding variants x identity/conv skip routing x IF/LIF
-// neurons x subtract/zero reset x every dispatch x fire-path
-// combination, on both word-aligned and odd ("tail") neuron counts.
+// The load-bearing properties: (1) conv_psum_scatter/linear_psum_scatter
+// perform the same multiset of exact int32 additions as the gather
+// oracles conv_psum/linear_psum, on the whole layer and on any
+// output-channel slice, and disjoint slices compose to the full pass —
+// so psums, and therefore spikes, membranes and logits, are the same
+// whichever schedule (unsharded or channel-sliced) runs them; (2) the
+// fused SoA fire kernels (compute::aggregate_fire_*) execute the same
+// util/fixed_point lane recipe as the scalar aggregate()/update_neuron()
+// loop, so the fire paths are bit-identical too. The engine matrix
+// sweeps densities {0, 1 spike, 5%, 50%, 100%} x stride/padding
+// variants x identity/conv skip routing x IF/LIF neurons x
+// subtract/zero reset x both fire paths, on both word-aligned and odd
+// ("tail") neuron counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,6 +64,27 @@ Branch random_conv_branch(std::int64_t ic, std::int64_t oc, std::int64_t kernel,
     return b;
 }
 
+/// Output-channel range [begin, end) of a sliced psum call.
+struct Slice {
+    std::int64_t begin;
+    std::int64_t end;
+};
+
+/// Partitions of [0, channels) into consecutive disjoint slices: a
+/// zero-width slice, a one-channel slice and the remainder; then slices
+/// of three channels with a partial last one (channels > 3 and not a
+/// multiple of 3 in the callers).
+std::vector<std::vector<Slice>> slice_partitions(std::int64_t channels) {
+    std::vector<std::vector<Slice>> partitions;
+    partitions.push_back({{0, 0}, {0, 1}, {1, 1}, {1, channels}});
+    std::vector<Slice> chunked;
+    for (std::int64_t c = 0; c < channels; c += 3) {
+        chunked.push_back({c, std::min(c + 3, channels)});
+    }
+    partitions.push_back(chunked);
+    return partitions;
+}
+
 // ---- Kernel-level equivalence ----
 
 TEST(ScatterKernels, ConvPsumMatrixMatchesGather) {
@@ -94,6 +117,29 @@ TEST(ScatterKernels, ConvPsumMatrixMatchesGather) {
                     EXPECT_EQ(gather, scatter)
                         << "k=" << kernel << " s=" << stride << " p=" << padding
                         << " spikes=" << in.count();
+                    for (const auto& partition : slice_partitions(oc)) {
+                        std::vector<std::int32_t> sliced(
+                            static_cast<std::size_t>(out_h * out_w * oc), 7);
+                        std::int64_t done = 0;
+                        for (const Slice& sl : partition) {
+                            compute::conv_psum_scatter(b, wt, in, out_h, out_w, sliced,
+                                                       sl.begin, sl.end);
+                            done = sl.end;
+                            // The slices run so far match the oracle; the
+                            // channels after them are still untouched.
+                            for (std::int64_t site = 0; site < out_h * out_w; ++site) {
+                                for (std::int64_t o = 0; o < oc; ++o) {
+                                    const auto i =
+                                        static_cast<std::size_t>(site * oc + o);
+                                    ASSERT_EQ(sliced[i], o < done ? gather[i] : 7)
+                                        << "k=" << kernel << " s=" << stride
+                                        << " p=" << padding << " slice=[" << sl.begin
+                                        << "," << sl.end << ") o=" << o;
+                                }
+                            }
+                        }
+                        EXPECT_EQ(sliced, gather);
+                    }
                 }
             }
         }
@@ -122,13 +168,25 @@ TEST(ScatterKernels, LinearPsumMatchesGather) {
         compute::linear_psum(b, wt, in, gather);
         compute::linear_psum_scatter(b, wt, in, scatter);
         EXPECT_EQ(gather, scatter) << "spikes=" << in.count();
+        for (const auto& partition : slice_partitions(b.out_features)) {
+            std::vector<std::int32_t> sliced(static_cast<std::size_t>(b.out_features), 7);
+            for (const Slice& sl : partition) {
+                compute::linear_psum_scatter(b, wt, in, sliced, sl.begin, sl.end);
+                for (std::int64_t f = 0; f < b.out_features; ++f) {
+                    const auto i = static_cast<std::size_t>(f);
+                    ASSERT_EQ(sliced[i], f < sl.end ? gather[i] : 7)
+                        << "slice=[" << sl.begin << "," << sl.end << ") f=" << f;
+                }
+            }
+            EXPECT_EQ(sliced, gather) << "spikes=" << in.count();
+        }
     }
 }
 
 // ---- Engine-level equivalence matrix ----
 
 /// conv stem -> residual block (identity skip) -> strided downsample
-/// (conv skip) -> spiking FC -> readout. Exercises every dispatch site:
+/// (conv skip) -> spiking FC -> readout. Exercises every psum site:
 /// main conv, skip conv, linear, and the identity-skip fast path.
 SnnModel matrix_model(NeuronKind neuron, ResetMode reset, util::Rng& rng) {
     SnnModel model;
@@ -382,22 +440,16 @@ SpikeTrain matrix_train(const SnnModel& model, double density, bool single_spike
 }
 
 void expect_same_run(const SnnModel& model, const SpikeTrain& train) {
-    // Reference: dense gather + scalar fire (the pre-vectorization
-    // engine). Every dispatch x fire-path combination must match it.
+    // Reference: the scalar per-neuron fire loop. The fused vector fire
+    // kernels must match it at every step.
     struct Variant {
         const char* name;
         EngineConfig config;
     };
     const std::vector<Variant> variants = {
-        {"dense/vector", {.dispatch = DispatchMode::kDense}},
-        {"scatter/scalar",
-         {.dispatch = DispatchMode::kScatter, .fire = FirePath::kScalar}},
-        {"scatter/vector", {.dispatch = DispatchMode::kScatter}},
-        {"adaptive/scalar", {.fire = FirePath::kScalar}},
-        {"adaptive/vector", {}},
+        {"vector", {}},
     };
-    const EngineConfig reference_config{.dispatch = DispatchMode::kDense,
-                                        .fire = FirePath::kScalar};
+    const EngineConfig reference_config{.fire = FirePath::kScalar};
     FunctionalEngine reference(model, reference_config);
     std::vector<std::unique_ptr<FunctionalEngine>> engines;
     for (const Variant& v : variants) {
@@ -476,24 +528,28 @@ TEST(DispatchEquivalence, UniformPlaneConvSkipMatrix) {
     }
 }
 
-// ---- Dispatch accounting ----
+// ---- Kernel counters ----
 
-TEST(DispatchCounters, AdaptiveSplitsByDensityThreshold) {
+TEST(DispatchCounters, ScatterStepsAndInputDensity) {
     util::Rng rng(303);
     const SnnModel model = matrix_model(NeuronKind::kIf, ResetMode::kSubtract, rng);
     SpikeTrain train = matrix_train(model, 0.02, false, rng);  // sparse steps
     train.push_back(random_map(model.input_channels, model.input_h, model.input_w, 1.0,
                                rng));  // one saturated step
+    const auto steps = static_cast<std::int64_t>(train.size());
 
-    FunctionalEngine engine(model, {.scatter_density_threshold = 0.5});
+    FunctionalEngine engine(model);
     for (const auto& frame : train) engine.step(frame);
 
+    // Every layer runs every step through the scatter kernels, whatever
+    // the density; the gather counter stays 0.
+    for (std::size_t l = 0; l < model.layers.size(); ++l) {
+        EXPECT_EQ(engine.dispatch_stats(l).scatter_steps, steps) << l;
+        EXPECT_EQ(engine.dispatch_stats(l).dense_steps, 0) << l;
+    }
     const LayerDispatchStats& stem = engine.dispatch_stats(0);
-    EXPECT_EQ(stem.scatter_steps, 6);  // the sparse steps
-    EXPECT_EQ(stem.dense_steps, 1);    // the saturated step (density 1 >= 0.5)
     EXPECT_EQ(stem.input_sites,
-              static_cast<std::int64_t>(train.size()) * model.input_channels *
-                  model.input_h * model.input_w);
+              steps * model.input_channels * model.input_h * model.input_w);
     std::int64_t spikes = 0;
     for (const auto& frame : train) spikes += frame.count();
     EXPECT_EQ(stem.input_spikes, spikes);
@@ -501,37 +557,14 @@ TEST(DispatchCounters, AdaptiveSplitsByDensityThreshold) {
                 static_cast<double>(spikes) / static_cast<double>(stem.input_sites),
                 1e-12);
 
-    // Forced modes never touch the other path, whatever the density.
-    FunctionalEngine forced_dense(model, {.dispatch = DispatchMode::kDense});
-    FunctionalEngine forced_scatter(model, {.dispatch = DispatchMode::kScatter});
-    for (const auto& frame : train) {
-        forced_dense.step(frame);
-        forced_scatter.step(frame);
-    }
-    for (std::size_t l = 0; l < model.layers.size(); ++l) {
-        EXPECT_EQ(forced_dense.dispatch_stats(l).scatter_steps, 0) << l;
-        EXPECT_EQ(forced_scatter.dispatch_stats(l).dense_steps, 0) << l;
-    }
-
     // run() surfaces the counters; reset() clears them.
     const RunResult res = engine.run(train);
     ASSERT_EQ(res.layer_dispatch.size(), model.layers.size());
-    EXPECT_EQ(res.layer_dispatch[0].scatter_steps, 6);
-    EXPECT_EQ(res.layer_dispatch[0].dense_steps, 1);
+    EXPECT_EQ(res.layer_dispatch[0].scatter_steps, steps);
+    EXPECT_EQ(res.layer_dispatch[0].dense_steps, 0);
     engine.reset();
     EXPECT_EQ(engine.dispatch_stats(0).scatter_steps, 0);
     EXPECT_EQ(engine.dispatch_stats(0).input_sites, 0);
-}
-
-TEST(DispatchCounters, ThresholdZeroMeansAlwaysDense) {
-    util::Rng rng(404);
-    const SnnModel model = matrix_model(NeuronKind::kIf, ResetMode::kSubtract, rng);
-    FunctionalEngine engine(model, {.scatter_density_threshold = 0.0});
-    const SpikeTrain train = matrix_train(model, 0.05, false, rng);
-    for (const auto& frame : train) engine.step(frame);
-    EXPECT_EQ(engine.dispatch_stats(0).scatter_steps, 0);
-    EXPECT_EQ(engine.dispatch_stats(0).dense_steps,
-              static_cast<std::int64_t>(train.size()));
 }
 
 TEST(DispatchCounters, FirePathCountersTrackConfiguredPath) {
@@ -579,25 +612,16 @@ TEST(BatchRunnerDispatch, EngineConfigPreservesBitExactness) {
     std::vector<core::Request> requests;
     for (const auto& train : batch) requests.push_back(core::Request::view_train(train));
 
-    core::BatchRunner dense_runner(
-        model, {.threads = 2, .engine = {.dispatch = DispatchMode::kDense}});
-    core::BatchRunner scatter_runner(
-        model, {.threads = 2, .engine = {.dispatch = DispatchMode::kScatter}});
-    core::BatchRunner adaptive_runner(model, {.threads = 2});
+    core::BatchRunner vector_fire_runner(model, {.threads = 2});
     core::BatchRunner scalar_fire_runner(
         model, {.threads = 2, .engine = {.fire = FirePath::kScalar}});
-    const auto rd = dense_runner.run(requests);
-    const auto rs = scatter_runner.run(requests);
-    const auto ra = adaptive_runner.run(requests);
-    const auto rf = scalar_fire_runner.run(requests);
-    ASSERT_EQ(rd.size(), batch.size());
+    const auto rv = vector_fire_runner.run(requests);
+    const auto rs = scalar_fire_runner.run(requests);
+    ASSERT_EQ(rv.size(), batch.size());
+    ASSERT_EQ(rs.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(rd[i].logits_per_step, rs[i].logits_per_step) << i;
-        EXPECT_EQ(rd[i].logits_per_step, ra[i].logits_per_step) << i;
-        EXPECT_EQ(rd[i].logits_per_step, rf[i].logits_per_step) << i;
-        EXPECT_EQ(rd[i].spike_counts, rs[i].spike_counts) << i;
-        EXPECT_EQ(rd[i].spike_counts, ra[i].spike_counts) << i;
-        EXPECT_EQ(rd[i].spike_counts, rf[i].spike_counts) << i;
+        EXPECT_EQ(rs[i].logits_per_step, rv[i].logits_per_step) << i;
+        EXPECT_EQ(rs[i].spike_counts, rv[i].spike_counts) << i;
     }
 }
 

@@ -547,12 +547,16 @@ TEST(MultiTenant, ReloadUnderLoadKeepsResponsesBitIdentical) {
     core::Server server(std::make_shared<core::FunctionalBackend>(model),
                         {.threads = 1, .max_queue = 4, .max_batch = 2});
     std::atomic<bool> done{false};
+    // Released once the first reload has completed, so at least one
+    // swap is ordered before the stream starts instead of racing it.
+    std::promise<void> first_reload;
     std::thread reloader([&] {
         // Hammer reloads while the stream is in flight, alternating the
         // backend kind: functional <-> cycle-accurate. Both engines are
         // bit-equivalent on logits, so a mid-stream swap must be
         // invisible in the responses.
         bool sia = true;
+        bool first = true;
         while (!done.load()) {
             if (sia) {
                 server.reload_model(core::Server::kDefaultModel,
@@ -561,10 +565,15 @@ TEST(MultiTenant, ReloadUnderLoadKeepsResponsesBitIdentical) {
                 server.reload_model(core::Server::kDefaultModel,
                                     std::make_shared<core::FunctionalBackend>(model));
             }
+            if (first) {
+                first_reload.set_value();
+                first = false;
+            }
             sia = !sia;
             std::this_thread::sleep_for(1ms);
         }
     });
+    first_reload.get_future().wait();
 
     std::vector<std::future<core::Response>> futures;
     for (std::size_t i = 0; i < kRequests; ++i) {
