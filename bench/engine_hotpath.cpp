@@ -1,27 +1,32 @@
 // FunctionalEngine hot-path bench: the engine (event-driven scatter
 // psum + fused fire) against the gather oracle kernel, swept over spike
 // density x layer shape (VGG-11 / ResNet-18 conv blocks + a
-// pool-unrolled-style FC), plus the fire-stage sweep — scalar
-// per-neuron loop vs the fused vectorized aggregate+fire kernels.
+// pool-unrolled-style FC), plus the fire-stage sweep — the fused
+// vectorized aggregate+fire kernel against the per-neuron fire oracle.
 //
-// Per (shape, density) it times three things over the same T=16 input
-// maps: a whole FunctionalEngine::step, the scatter psum kernel alone
+// Per (shape, density) it times, over the same T=16 input maps: a whole
+// FunctionalEngine::step, the scatter psum kernel alone
 // (compute::conv_psum_scatter / linear_psum_scatter, what the step runs)
 // and the gather oracle kernel alone (compute::conv_psum / linear_psum,
-// the tests' reference). The two kernel columns record the
-// trade of the one-psum-path design: scatter cost scales with spikes,
-// gather cost with sites, so gather catches up only as maps fill.
+// the tests' reference). The two kernel columns record the trade of
+// the one-psum-path design: scatter cost scales with spikes, gather
+// cost with sites, so gather catches up only as maps fill. The fire
+// sweep precomputes the 16 steps' CHW psum banks once and then times
+// the fire stage alone over them: compute::aggregate_fire_dense against
+// compute::fire_reference.
 //
-// Prints steps/s and emits machine-readable BENCH_ENGINE.json (psum
-// rows in "results", the fire-stage sweep in "fire_results"). With
-// --check, exits nonzero if, on any conv shape at <= 5% density, the
-// whole engine step is slower than the gather kernel alone OR the fused
-// fire stage is slower than the scalar baseline (the CI perf-smoke
-// gates: at paper-realistic spike rates neither may lose to its
-// baseline).
+// Every rate is the median of kRepeats timed repeats (each repeat runs
+// whole passes until --min-ms elapses); min and max are recorded next
+// to it. Prints steps/s and emits machine-readable BENCH_ENGINE.json
+// (psum rows in "results", the fire-stage sweep in "fire_results").
+// With --check, exits nonzero if, on any conv shape at <= 5% density,
+// the median whole engine step is slower than the median gather kernel
+// alone OR the median fused fire kernel is slower than the median fire
+// oracle (the CI perf-smoke gates: at paper-realistic spike rates
+// neither may lose to its baseline).
 //
 // Flags: --quick (reduced sweep), --check, --out <path>,
-//        --min-ms <per-measurement milliseconds>.
+//        --min-ms <per-repeat milliseconds>.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +37,7 @@
 
 #include "snn/compute.hpp"
 #include "snn/engine.hpp"
+#include "snn/layer_state.hpp"
 #include "snn/model.hpp"
 #include "snn/spike.hpp"
 #include "util/rng.hpp"
@@ -111,16 +117,25 @@ std::vector<snn::SpikeMap> make_inputs(const snn::SnnModel& model, double densit
     return inputs;
 }
 
-/// Best-of-3 steps/s of `pass`, which runs `steps_per_pass` steps.
-/// Each rep repeats the pass until `min_ms` elapses; best of three
-/// independent reps means a single scheduler stall inside one rep
-/// cannot poison the reading (measurements run on shared CI runners,
-/// and a fast step here is microseconds).
+/// Median, min and max steps/s over the timed repeats.
+struct Rate {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+constexpr int kRepeats = 5;
+
+/// Steps/s of `pass`, which runs `steps_per_pass` steps, over kRepeats
+/// repeats. Each repeat runs the pass until `min_ms` elapses; the
+/// median means a scheduler stall inside one or two repeats cannot move
+/// the reading (measurements run on shared CI runners, and a fast step
+/// here is microseconds).
 template <typename Pass>
-double best_steps_per_sec(Pass&& pass, std::int64_t steps_per_pass, double min_ms) {
+Rate steps_per_sec(Pass&& pass, std::int64_t steps_per_pass, double min_ms) {
     pass();  // warm caches + page in
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
+    std::vector<double> rates;
+    for (int rep = 0; rep < kRepeats; ++rep) {
         const util::WallTimer timer;
         std::int64_t steps = 0;
         double elapsed = 0.0;
@@ -129,16 +144,17 @@ double best_steps_per_sec(Pass&& pass, std::int64_t steps_per_pass, double min_m
             steps += steps_per_pass;
             elapsed = timer.millis();
         } while (elapsed < min_ms);
-        best = std::max(best, 1e3 * static_cast<double>(steps) / elapsed);
+        rates.push_back(1e3 * static_cast<double>(steps) / elapsed);
     }
-    return best;
+    std::sort(rates.begin(), rates.end());
+    return {rates[rates.size() / 2], rates.front(), rates.back()};
 }
 
-/// Whole FunctionalEngine::step throughput under `config`.
-double measure_engine(const snn::SnnModel& model, snn::EngineConfig config,
-                      const std::vector<snn::SpikeMap>& inputs, double min_ms) {
-    snn::FunctionalEngine engine(model, config);
-    return best_steps_per_sec(
+/// Whole FunctionalEngine::step throughput.
+Rate measure_engine(const snn::SnnModel& model, const std::vector<snn::SpikeMap>& inputs,
+                    double min_ms) {
+    snn::FunctionalEngine engine(model);
+    return steps_per_sec(
         [&] {
             for (const auto& in : inputs) engine.step(in);
         },
@@ -147,8 +163,8 @@ double measure_engine(const snn::SnnModel& model, snn::EngineConfig config,
 
 /// Psum-kernel-only throughput of the layer: the scatter kernel the
 /// engine runs, or the gather oracle.
-double measure_kernel(const snn::SnnModel& model, bool gather,
-                      const std::vector<snn::SpikeMap>& inputs, double min_ms) {
+Rate measure_kernel(const snn::SnnModel& model, bool gather,
+                    const std::vector<snn::SpikeMap>& inputs, double min_ms) {
     const snn::SnnLayer& layer = model.layers.front();
     const bool conv = layer.op == snn::LayerOp::kConv;
     const auto wt = conv ? snn::compute::transpose_conv(layer.main)
@@ -169,7 +185,62 @@ double measure_kernel(const snn::SnnModel& model, bool gather,
             }
         }
     };
-    return best_steps_per_sec(pass, static_cast<std::int64_t>(inputs.size()), min_ms);
+    return steps_per_sec(pass, static_cast<std::int64_t>(inputs.size()), min_ms);
+}
+
+struct FireRates {
+    Rate fused;      ///< compute::aggregate_fire_dense
+    Rate reference;  ///< compute::fire_reference
+};
+
+/// Fire-stage-only throughput over the inputs' precomputed CHW psum
+/// banks (the bench layers are IF neurons with no skip).
+FireRates measure_fire(const snn::SnnModel& model,
+                       const std::vector<snn::SpikeMap>& inputs, double min_ms) {
+    const snn::SnnLayer& layer = model.layers.front();
+    const bool conv = layer.op == snn::LayerOp::kConv;
+    const auto wt = conv ? snn::compute::transpose_conv(layer.main)
+                         : snn::compute::transpose_linear(layer.main);
+    snn::LayerState st;
+    st.init(layer);
+    std::vector<snn::simd::AlignedVec<std::int32_t>> banks;
+    for (const auto& in : inputs) {
+        if (conv) {
+            snn::compute::conv_psum_scatter(layer.main, wt, in, layer.out_h, layer.out_w,
+                                            st.accum());
+        } else {
+            snn::compute::linear_psum_scatter(layer.main, wt, in, st.accum());
+        }
+        if (st.interleaved) {
+            snn::compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(),
+                                               st.channels, st.plane, st.stride);
+        }
+        auto& bank = banks.emplace_back(static_cast<std::size_t>(st.padded));
+        std::copy(st.psum.data(), st.psum.data() + st.padded, bank.data());
+    }
+    snn::SpikeMap out(layer.out_channels, layer.out_h, layer.out_w);
+    const auto steps = static_cast<std::int64_t>(inputs.size());
+
+    snn::compute::FireArgs args = st.fire_args(layer, nullptr);
+    FireRates rates;
+    rates.fused = steps_per_sec(
+        [&] {
+            for (const auto& bank : banks) {
+                args.psum = bank.data();
+                snn::compute::aggregate_fire_dense(args, out);
+            }
+        },
+        steps, min_ms);
+    std::vector<std::int16_t> membrane(static_cast<std::size_t>(layer.neurons()), 0);
+    rates.reference = steps_per_sec(
+        [&] {
+            for (const auto& bank : banks) {
+                snn::compute::fire_reference(layer, bank.data(), nullptr, nullptr,
+                                             membrane.data(), out);
+            }
+        },
+        steps, min_ms);
+    return rates;
 }
 
 struct ResultRow {
@@ -177,15 +248,19 @@ struct ResultRow {
     bool conv = true;
     double density = 0.0;
     double measured_density = 0.0;
-    double engine_sps = 0.0;          ///< whole step: scatter psum + fused fire
-    double scatter_psum_sps = 0.0;    ///< scatter kernel alone
-    double gather_psum_sps = 0.0;     ///< gather oracle kernel alone
-    /// Fire-stage sweep: the scalar per-neuron loop vs the fused vector
-    /// kernels. The vector reading is the engine reading (same config).
-    double scalar_fire_sps = 0.0;
+    Rate engine;          ///< whole step: scatter psum + fused fire
+    Rate scatter_psum;    ///< scatter kernel alone
+    Rate gather_psum;     ///< gather oracle kernel alone
+    FireRates fire;       ///< fire stage alone: fused kernel vs oracle
 };
 
 double ratio(double a, double b) { return b > 0 ? a / b : 0.0; }
+
+/// `"<name>": median, "<name>_min": min, "<name>_max": max`.
+void write_rate(std::ostream& out, const char* name, const Rate& r) {
+    out << ", \"" << name << "\": " << r.median << ", \"" << name << "_min\": " << r.min
+        << ", \"" << name << "_max\": " << r.max;
+}
 
 void write_json(const std::string& path, const std::vector<ResultRow>& rows, bool quick) {
     std::ofstream out(path, std::ios::trunc);
@@ -195,27 +270,29 @@ void write_json(const std::string& path, const std::vector<ResultRow>& rows, boo
     }
     out << "{\n  \"bench\": \"engine_hotpath\",\n"
         << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+        << "  \"repeats\": " << kRepeats << ",\n"
         << "  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ResultRow& r = rows[i];
         out << "    {\"shape\": \"" << r.shape << "\", \"kind\": \""
             << (r.conv ? "conv" : "linear") << "\", \"density\": " << r.density
-            << ", \"measured_density\": " << r.measured_density
-            << ", \"engine_steps_per_sec\": " << r.engine_sps
-            << ", \"scatter_psum_steps_per_sec\": " << r.scatter_psum_sps
-            << ", \"gather_psum_steps_per_sec\": " << r.gather_psum_sps
-            << ", \"scatter_speedup\": " << ratio(r.scatter_psum_sps, r.gather_psum_sps)
-            << ", \"engine_vs_gather\": " << ratio(r.engine_sps, r.gather_psum_sps)
+            << ", \"measured_density\": " << r.measured_density;
+        write_rate(out, "engine_steps_per_sec", r.engine);
+        write_rate(out, "scatter_psum_steps_per_sec", r.scatter_psum);
+        write_rate(out, "gather_psum_steps_per_sec", r.gather_psum);
+        out << ", \"scatter_speedup\": "
+            << ratio(r.scatter_psum.median, r.gather_psum.median)
+            << ", \"engine_vs_gather\": " << ratio(r.engine.median, r.gather_psum.median)
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"fire_results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ResultRow& r = rows[i];
         out << "    {\"shape\": \"" << r.shape << "\", \"kind\": \""
-            << (r.conv ? "conv" : "linear") << "\", \"density\": " << r.density
-            << ", \"scalar_fire_steps_per_sec\": " << r.scalar_fire_sps
-            << ", \"vector_fire_steps_per_sec\": " << r.engine_sps
-            << ", \"fire_speedup\": " << ratio(r.engine_sps, r.scalar_fire_sps)
+            << (r.conv ? "conv" : "linear") << "\", \"density\": " << r.density;
+        write_rate(out, "reference_fire_steps_per_sec", r.fire.reference);
+        write_rate(out, "fused_fire_steps_per_sec", r.fire.fused);
+        out << ", \"fire_speedup\": " << ratio(r.fire.fused.median, r.fire.reference.median)
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -243,7 +320,7 @@ int main(int argc, char** argv) {
             return EXIT_FAILURE;
         }
     }
-    if (min_ms <= 0.0) min_ms = quick ? 60.0 : 300.0;
+    if (min_ms <= 0.0) min_ms = quick ? 50.0 : 200.0;
 
     std::vector<BenchShape> shapes = {
         {.name = "vgg_conv3x3_64c_32px", .ic = 64, .oc = 64, .in_hw = 32},
@@ -269,20 +346,18 @@ int main(int argc, char** argv) {
         densities = {0.05, 0.25};
     }
 
-    const snn::EngineConfig engine_config;  // defaults: vector fire
-    const snn::EngineConfig scalar_fire{.fire = snn::FirePath::kScalar};
     std::cout << "==============================================================\n"
               << "Engine hot path: engine step vs scatter and gather psum\n"
-              << "kernels, scalar vs fused-vector fire stage\n"
-              << "(steps/s, T=16 inputs per pass)\n"
+              << "kernels, fused fire kernel vs per-neuron fire oracle\n"
+              << "(median steps/s of " << kRepeats << " repeats, T=16 inputs per pass)\n"
               << "==============================================================\n";
 
     std::vector<ResultRow> rows;
     util::Table table("engine_hotpath" + std::string(quick ? " (quick)" : ""));
     table.header({"shape", "density", "engine st/s", "scatter psum/s", "gather psum/s",
                   "scatter/gather"});
-    util::Table fire_table("fire stage: scalar loop vs fused vector kernels");
-    fire_table.header({"shape", "density", "scalar st/s", "vector st/s", "speedup"});
+    util::Table fire_table("fire stage: per-neuron oracle vs fused vector kernel");
+    fire_table.header({"shape", "density", "oracle st/s", "fused st/s", "speedup"});
 
     bool check_failed = false;
     for (const BenchShape& shape : shapes) {
@@ -302,36 +377,39 @@ int main(int argc, char** argv) {
             row.density = density;
             row.measured_density =
                 sites > 0 ? static_cast<double>(spikes) / static_cast<double>(sites) : 0.0;
-            row.engine_sps = measure_engine(model, engine_config, inputs, min_ms);
-            row.scatter_psum_sps = measure_kernel(model, false, inputs, min_ms);
-            row.gather_psum_sps = measure_kernel(model, true, inputs, min_ms);
-            row.scalar_fire_sps = measure_engine(model, scalar_fire, inputs, min_ms);
+            row.engine = measure_engine(model, inputs, min_ms);
+            row.scatter_psum = measure_kernel(model, false, inputs, min_ms);
+            row.gather_psum = measure_kernel(model, true, inputs, min_ms);
+            row.fire = measure_fire(model, inputs, min_ms);
             rows.push_back(row);
 
-            table.row({shape.name, util::cell(density, 2), util::cell(row.engine_sps, 0),
-                       util::cell(row.scatter_psum_sps, 0),
-                       util::cell(row.gather_psum_sps, 0),
-                       util::cell(ratio(row.scatter_psum_sps, row.gather_psum_sps), 2) +
+            table.row({shape.name, util::cell(density, 2), util::cell(row.engine.median, 0),
+                       util::cell(row.scatter_psum.median, 0),
+                       util::cell(row.gather_psum.median, 0),
+                       util::cell(ratio(row.scatter_psum.median, row.gather_psum.median),
+                                  2) +
                            "x"});
-            fire_table.row({shape.name, util::cell(density, 2),
-                            util::cell(row.scalar_fire_sps, 0),
-                            util::cell(row.engine_sps, 0),
-                            util::cell(ratio(row.engine_sps, row.scalar_fire_sps), 2) +
-                                "x"});
+            fire_table.row(
+                {shape.name, util::cell(density, 2),
+                 util::cell(row.fire.reference.median, 0),
+                 util::cell(row.fire.fused.median, 0),
+                 util::cell(ratio(row.fire.fused.median, row.fire.reference.median), 2) +
+                     "x"});
 
             if (check && shape.conv && density <= 0.05 + 1e-9) {
-                if (row.engine_sps < row.gather_psum_sps) {
+                if (row.engine.median < row.gather_psum.median) {
                     check_failed = true;
-                    std::cerr << "CHECK FAILED: engine step (" << row.engine_sps
+                    std::cerr << "CHECK FAILED: engine step (median " << row.engine.median
                               << " steps/s) slower than the gather psum kernel alone ("
-                              << row.gather_psum_sps << " steps/s) on " << shape.name
+                              << row.gather_psum.median << " steps/s) on " << shape.name
                               << " at density " << density << "\n";
                 }
-                if (row.engine_sps < row.scalar_fire_sps) {
+                if (row.fire.fused.median < row.fire.reference.median) {
                     check_failed = true;
-                    std::cerr << "CHECK FAILED: fused fire (" << row.engine_sps
-                              << " steps/s) slower than scalar fire ("
-                              << row.scalar_fire_sps << " steps/s) on " << shape.name
+                    std::cerr << "CHECK FAILED: fused fire kernel (median "
+                              << row.fire.fused.median
+                              << " steps/s) slower than the fire oracle ("
+                              << row.fire.reference.median << " steps/s) on " << shape.name
                               << " at density " << density << "\n";
                 }
             }

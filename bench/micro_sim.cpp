@@ -1,12 +1,8 @@
-// Google-benchmark microbenchmarks of the hot paths: PE segment
-// accumulation, aggregation arithmetic, event-driven conv psum, neuron
-// update, thermometer encoding, and a full functional-engine step.
+// Google-benchmark microbenchmarks of the hot paths: event-driven conv
+// psum, thermometer encoding, and a full functional-engine step (psum +
+// fused fire).
 #include <benchmark/benchmark.h>
 
-#include <array>
-
-#include "sim/aggregation.hpp"
-#include "sim/pe.hpp"
 #include "snn/compute.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
@@ -15,30 +11,6 @@
 namespace {
 
 using namespace sia;
-
-void BM_PeSegment(benchmark::State& state) {
-    sim::Pe pe;
-    const std::array<std::uint8_t, 3> spikes = {1, 0, 1};
-    const std::array<std::int8_t, 3> weights = {12, -7, 3};
-    for (auto _ : state) {
-        pe.begin_window();
-        benchmark::DoNotOptimize(pe.accumulate_segment(spikes, weights));
-        benchmark::DoNotOptimize(pe.emit());
-    }
-}
-BENCHMARK(BM_PeSegment);
-
-void BM_AggregationNeuron(benchmark::State& state) {
-    std::int16_t membrane = 0;
-    for (auto _ : state) {
-        const std::int16_t current = sim::AggregationCore::batch_norm(1234, 300, -12, 8);
-        const auto update = sim::AggregationCore::activate(
-            membrane, current, 256, false, 4, snn::ResetMode::kSubtract);
-        membrane = update.new_potential;
-        benchmark::DoNotOptimize(membrane);
-    }
-}
-BENCHMARK(BM_AggregationNeuron);
 
 snn::Branch make_branch(std::int64_t ic, std::int64_t oc, util::Rng& rng) {
     snn::Branch b;

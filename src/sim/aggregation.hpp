@@ -6,56 +6,18 @@
 // and applies reset-by-subtraction (or reset-to-zero). A mode bit selects
 // IF (0) or LIF (1) dynamics, exactly as described in the paper.
 //
-// Numerically this is the same arithmetic as snn::FunctionalEngine —
-// both call the util/fixed_point helpers — which is what makes the
-// bit-exact co-verification possible.
+// The arithmetic has one definition, shared with snn::FunctionalEngine:
+// sim::Sia fires through the fused kernels of snn/compute.hpp
+// (compute::aggregate_fire_dense/lif via snn::LayerState). What this
+// class models is the pipeline's timing.
 #pragma once
 
 #include <cstdint>
 
-#include "snn/model.hpp"
-#include "util/fixed_point.hpp"
-
 namespace sia::sim {
-
-/// Result of one activation-unit evaluation.
-struct NeuronUpdate {
-    std::int16_t new_potential = 0;
-    bool spike = false;
-};
 
 class AggregationCore {
 public:
-    /// Batch-norm unit: ((psum * gain) >> shift) + bias with 16-bit
-    /// saturation at each stage. Uses one DSP multiplier lane.
-    [[nodiscard]] static std::int16_t batch_norm(std::int32_t psum, std::int16_t gain,
-                                                 std::int16_t bias, int shift) noexcept {
-        const std::int16_t p16 = util::saturate16(psum);
-        const std::int16_t scaled = util::fxp_mul_shift(p16, gain, shift);
-        return util::sat_add16(scaled, bias);
-    }
-
-    /// Activation unit. `mode_lif` is the hardware mode bit (0 = IF,
-    /// 1 = LIF). Leak is applied before integration in LIF mode.
-    [[nodiscard]] static NeuronUpdate activate(std::int16_t membrane, std::int16_t current,
-                                               std::int16_t threshold, bool mode_lif,
-                                               int leak_shift,
-                                               snn::ResetMode reset) noexcept {
-        std::int16_t u = membrane;
-        if (mode_lif) {
-            u = util::sat_sub16(u, static_cast<std::int16_t>(u >> leak_shift));
-        }
-        u = util::sat_add16(u, current);
-        NeuronUpdate out;
-        if (u >= threshold) {
-            out.spike = true;
-            u = (reset == snn::ResetMode::kSubtract) ? util::sat_sub16(u, threshold)
-                                                     : std::int16_t{0};
-        }
-        out.new_potential = u;
-        return out;
-    }
-
     /// Cycle cost to retire `neurons` results through the pipelined
     /// BN-multiply + compare datapath (`lanes` results per cycle after
     /// the pipeline fills).

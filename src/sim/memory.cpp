@@ -40,6 +40,49 @@ std::int16_t BramBank::read16(std::int64_t addr) {
     return static_cast<std::int16_t>(static_cast<std::uint16_t>(lo | (hi << 8)));
 }
 
+void BramBank::write_span(std::int64_t addr, std::span<const std::int16_t> values) {
+    const auto n = static_cast<std::int64_t>(values.size());
+    check(addr, 2 * n);
+    std::uint8_t* p = data_.data() + addr;
+    for (const std::int16_t v : values) {
+        const auto u = static_cast<std::uint16_t>(v);
+        *p++ = static_cast<std::uint8_t>(u & 0xFF);
+        *p++ = static_cast<std::uint8_t>(u >> 8);
+    }
+    bytes_written_ += 2 * n;
+}
+
+void BramBank::read_span(std::int64_t addr, std::span<std::int16_t> values) {
+    const auto n = static_cast<std::int64_t>(values.size());
+    check(addr, 2 * n);
+    const std::uint8_t* p = data_.data() + addr;
+    for (std::int16_t& v : values) {
+        const auto lo = static_cast<std::uint16_t>(p[0]);
+        const auto hi = static_cast<std::uint16_t>(p[1]);
+        v = static_cast<std::int16_t>(static_cast<std::uint16_t>(lo | (hi << 8)));
+        p += 2;
+    }
+    bytes_read_ += 2 * n;
+}
+
+void BramBank::write_bits(std::int64_t addr, std::span<const std::uint64_t> words,
+                          std::int64_t bits) {
+    const std::int64_t n = (bits + 7) / 8;
+    if (n > static_cast<std::int64_t>(words.size()) * 8) {
+        throw std::out_of_range("BramBank " + name_ + ": " + std::to_string(bits) +
+                                " bits exceed the source words");
+    }
+    check(addr, n);
+    for (std::int64_t b = 0; b < n; ++b) {
+        const std::uint64_t word = words[static_cast<std::size_t>(b / 8)];
+        auto byte = static_cast<std::uint8_t>(word >> (8 * (b % 8)));
+        const std::int64_t tail = bits - 8 * b;  // bits of this byte in range
+        if (tail < 8) byte = static_cast<std::uint8_t>(byte & ((1U << tail) - 1U));
+        data_[static_cast<std::size_t>(addr + b)] = byte;
+    }
+    bytes_written_ += n;
+}
+
 void PingPongMembrane::partition(std::int64_t contexts) {
     if (contexts < 1) {
         throw std::invalid_argument("PingPongMembrane: contexts must be >= 1");

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,6 +29,17 @@ public:
     [[nodiscard]] std::uint8_t read8(std::int64_t addr);
     void write16(std::int64_t addr, std::int16_t v);
     [[nodiscard]] std::int16_t read16(std::int64_t addr);
+
+    /// Bulk forms of write16/read16 over consecutive 16-bit values from
+    /// byte `addr`: one capacity check per span, the same bytes and
+    /// counter totals as one call per value.
+    void write_span(std::int64_t addr, std::span<const std::int16_t> values);
+    void read_span(std::int64_t addr, std::span<std::int16_t> values);
+    /// Store the first `bits` bits of packed 64-bit spike words as
+    /// bytes from `addr` (bit i at bit i % 8 of byte i / 8): the
+    /// output-spike write-back, counted as ceil(bits / 8) byte writes.
+    void write_bits(std::int64_t addr, std::span<const std::uint64_t> words,
+                    std::int64_t bits);
 
     [[nodiscard]] std::int64_t bytes_read() const noexcept { return bytes_read_; }
     [[nodiscard]] std::int64_t bytes_written() const noexcept { return bytes_written_; }
@@ -96,6 +108,16 @@ public:
     [[nodiscard]] std::int16_t read16(std::int64_t addr) {
         check_slice(addr, 2);
         return read_bank().read16(base() + addr);
+    }
+    /// Bulk forms: a span of consecutive potentials from byte `addr`
+    /// with one slice check (see BramBank::write_span).
+    void write_span(std::int64_t addr, std::span<const std::int16_t> values) {
+        check_slice(addr, 2 * static_cast<std::int64_t>(values.size()));
+        write_bank().write_span(base() + addr, values);
+    }
+    void read_span(std::int64_t addr, std::span<std::int16_t> values) {
+        check_slice(addr, 2 * static_cast<std::int64_t>(values.size()));
+        read_bank().read_span(base() + addr, values);
     }
 
     [[nodiscard]] BramBank& write_bank() noexcept { return banks_[write_bank_is_u1() ? 0 : 1]; }

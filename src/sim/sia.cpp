@@ -8,6 +8,7 @@
 #include "sim/aggregation.hpp"
 #include "snn/compute.hpp"
 #include "snn/engine.hpp"
+#include "snn/layer_state.hpp"
 
 namespace sia::sim {
 
@@ -623,7 +624,6 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
     const snn::Branch& b = layer.main;
     const auto timesteps = static_cast<std::int64_t>(in_train.size());
     const std::int64_t neurons = layer.neurons();
-    const std::int64_t oc = layer.out_channels;
     const std::int64_t oh = layer.out_h;
     const std::int64_t ow = layer.out_w;
     const std::int64_t lanes = config_.pe_count();
@@ -645,36 +645,38 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
         has_down_skip ? channel_spike_counts(*skip_train)
                       : std::vector<std::vector<std::int64_t>>{};
 
-    // Membrane storage: the first spatial slice lives in the ping-pong
-    // bank model; further slices (spatial tiling) are host-mirrored --
-    // numerically identical, with the re-streaming traffic accounted in
-    // the DMA term above.
+    // Fire scratch for this pass: the slice's CHW SoA banks. Membranes
+    // of the first bank_capacity()/2 neurons live in the ping-pong bank
+    // model and move between it and the scratch as one span per
+    // timestep each way; the rest (spatial tiling) stay host-mirrored in
+    // the scratch -- numerically identical, with the re-streaming
+    // traffic accounted in the plan's DMA terms.
+    snn::LayerState& st = fire_;
+    st.init(layer, c0, c1);
     const std::int64_t fit_neurons =
         std::min<std::int64_t>(slice_neurons, memory_.membrane.bank_capacity() / 2);
-    const std::int64_t spill_neurons = slice_neurons - fit_neurons;
+    const std::span<std::int16_t> banked(st.membrane.data(),
+                                         static_cast<std::size_t>(fit_neurons));
     // Resume the carried potentials of a streaming session; a fresh
     // session (or stateless run) starts from the initial potential. A
     // sliced run addresses only its contiguous CHW range of the shared
     // session bank.
-    const std::int16_t* resume =
-        session != nullptr && session->initialized
-            ? session->membranes[index].data() + c0 * plane
-            : nullptr;
-    std::vector<std::int16_t> spill_mem(static_cast<std::size_t>(spill_neurons));
-    for (std::int64_t i = 0; i < spill_neurons; ++i) {
-        spill_mem[static_cast<std::size_t>(i)] =
-            resume != nullptr ? resume[fit_neurons + i] : layer.initial_potential;
+    if (session != nullptr && session->initialized) {
+        const std::int16_t* resume = session->membranes[index].data() + c0 * plane;
+        std::copy(resume, resume + slice_neurons, st.membrane.data());
+    } else {
+        std::fill(st.membrane.data(), st.membrane.data() + slice_neurons,
+                  layer.initial_potential);
     }
-    for (std::int64_t i = 0; i < fit_neurons; ++i) {
-        memory_.membrane.write16(2 * i,
-                                 resume != nullptr ? resume[i]
-                                                   : layer.initial_potential);
-    }
+    memory_.membrane.write_span(0, banked);
     memory_.membrane.toggle();  // make the initial potentials readable
 
-    std::vector<std::int32_t> psum(static_cast<std::size_t>(neurons), 0);
-    std::vector<std::int32_t> skip_psum;
-    if (has_down_skip) skip_psum.assign(static_cast<std::size_t>(neurons), 0);
+    // The kernel fires the slice into a slice-geometry map, merged into
+    // the full output at bit c0 * plane; an identity skip's source bits
+    // are extracted into the same geometry.
+    snn::SpikeMap slice_out(span, oh, ow);
+    snn::SpikeMap skip_slice;
+    if (layer.has_skip() && layer.skip_is_identity) skip_slice = slice_out;
 
     const std::int64_t wc = SiaConfig::window_cycles(b.kernel);
     const std::int64_t wc_skip = SiaConfig::window_cycles(1);
@@ -698,7 +700,7 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
         stats.dma += dma_.transfer(plan.spike_in_bytes * plan.oc_tiles *
                                    plan.spatial_tiles);
         const snn::SpikeMap& in = in_train[static_cast<std::size_t>(t)];
-        snn::compute::conv_psum_scatter(b, wt, in, oh, ow, psum, c0, c1);
+        snn::compute::conv_psum_scatter(b, wt, in, oh, ow, st.accum(), c0, c1);
 
         // Weight-memory-chunked PE schedule: the arithmetic above is one
         // event-driven pass (exact int32 adds, order-independent), so
@@ -728,7 +730,7 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
             stats.dma += dma_.transfer(plan.residual_in_bytes);
             if (has_down_skip) {
                 snn::compute::conv_psum_scatter(layer.skip, skip_weights, skip_in, oh, ow,
-                                                skip_psum, c0, c1);
+                                                st.skip_accum(), c0, c1);
                 std::int64_t skip_spikes = 0;
                 for (const auto n : skip_counts[static_cast<std::size_t>(t)]) {
                     skip_spikes += n;
@@ -741,6 +743,8 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
                         skip_spikes * std::min(lanes, span - tile * lanes);
                 }
                 stats.dense_ops += skip_dense_per_step;
+            } else {
+                skip_slice.copy_bits(skip_in, c0 * plane, 0, slice_neurons);
             }
         }
 
@@ -748,67 +752,17 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
         stats.aggregate += AggregationCore::retire_cycles(
             slice_neurons, config_.aggregation_lanes,
             plan.oc_tiles * config_.aggregation_pipeline_depth);
-
-        snn::SpikeMap& out = out_train[static_cast<std::size_t>(t)];
-        const snn::SpikeMap* skip_spike_map =
-            layer.has_skip() ? &(*skip_train)[static_cast<std::size_t>(t)] : nullptr;
-        for (std::int64_t y = 0; y < oh; ++y) {
-            for (std::int64_t x = 0; x < ow; ++x) {
-                for (std::int64_t o = c0; o < c1; ++o) {
-                    const auto hwc = static_cast<std::size_t>((y * ow + x) * oc + o);
-                    // Membrane banks hold only this instance's slice:
-                    // slice-relative CHW addressing.
-                    const std::int64_t chw = ((o - c0) * oh + y) * ow + x;
-                    std::int16_t m = snn::compute::aggregate(
-                        psum[hwc], b.gain[static_cast<std::size_t>(o)],
-                        b.bias[static_cast<std::size_t>(o)], b.gain_shift);
-                    if (layer.has_skip()) {
-                        if (layer.skip_is_identity) {
-                            if (skip_spike_map->get(o, y, x)) {
-                                m = util::sat_add16(m, layer.identity_skip.charge);
-                            }
-                        } else {
-                            const std::int16_t ms = snn::compute::aggregate(
-                                skip_psum[hwc],
-                                layer.skip.gain[static_cast<std::size_t>(o)],
-                                layer.skip.bias[static_cast<std::size_t>(o)],
-                                layer.skip.gain_shift);
-                            m = util::sat_add16(m, ms);
-                        }
-                    }
-                    const bool in_bank = chw < fit_neurons;
-                    const std::int16_t u_prev =
-                        in_bank ? memory_.membrane.read16(2 * chw)
-                                : spill_mem[static_cast<std::size_t>(chw - fit_neurons)];
-                    bool spike = false;
-                    const std::int16_t u_new =
-                        snn::compute::update_neuron(u_prev, m, layer, spike);
-                    if (in_bank) {
-                        memory_.membrane.write16(2 * chw, u_new);
-                    } else {
-                        spill_mem[static_cast<std::size_t>(chw - fit_neurons)] = u_new;
-                    }
-                    if (spike) out.set(o, y, x, true);
-                }
-            }
-        }
+        memory_.membrane.read_span(0, banked);
+        st.fire(layer, skip_slice.raw().data(), slice_out);
+        memory_.membrane.write_span(0, banked);
         (void)readout;  // conv layers are always spiking (validated upstream)
 
         controller_.transition(CtrlState::kWriteOutput);
+        out_train[static_cast<std::size_t>(t)].copy_bits(slice_out, 0, c0 * plane,
+                                                         slice_neurons);
         // Bit-pack the slice's output spikes through the output BRAM
-        // (capacity checked); the slice is the contiguous flat range
-        // [c0 * plane, c1 * plane).
-        const std::int64_t out_bytes = bits_to_bytes(slice_neurons);
-        for (std::int64_t byte = 0; byte < out_bytes; ++byte) {
-            std::uint8_t packed = 0;
-            for (std::int64_t bit = 0; bit < 8; ++bit) {
-                const std::int64_t idx = byte * 8 + bit;
-                if (idx < slice_neurons && out.get_flat(c0 * plane + idx)) {
-                    packed = static_cast<std::uint8_t>(packed | (1U << bit));
-                }
-            }
-            memory_.output_spikes.write8(byte, packed);
-        }
+        // (capacity checked).
+        memory_.output_spikes.write_bits(0, slice_out.raw(), slice_neurons);
         stats.dma += dma_.transfer(plan.spike_out_bytes);
         if (plan.membrane_spill) {
             // Legacy DDR-spill schedule (scheduling ablation only).
@@ -825,11 +779,10 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
         if (mem.size() != static_cast<std::size_t>(neurons)) {
             mem.resize(static_cast<std::size_t>(neurons));
         }
-        const std::int64_t base = c0 * plane;
-        for (std::int64_t i = 0; i < fit_neurons; ++i) {
-            mem[static_cast<std::size_t>(base + i)] = memory_.membrane.read16(2 * i);
-        }
-        std::copy(spill_mem.begin(), spill_mem.end(), mem.begin() + base + fit_neurons);
+        std::int16_t* saved = mem.data() + c0 * plane;
+        memory_.membrane.read_span(0, {saved, static_cast<std::size_t>(fit_neurons)});
+        std::copy(st.membrane.data() + fit_neurons, st.membrane.data() + slice_neurons,
+                  saved + fit_neurons);
     }
 }
 
@@ -850,16 +803,18 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan,
     const std::int64_t span = c1 - c0;
 
     const std::vector<std::int8_t>& wt = main_wt(index);
-    std::vector<std::int32_t> psum(static_cast<std::size_t>(features), 0);
-    std::vector<std::int16_t> mem(static_cast<std::size_t>(features),
-                                  layer.initial_potential);
+    // Spiking layers keep their potentials host-side in the fire
+    // scratch (slice-relative); readout layers accumulate wide logits.
+    snn::LayerState& st = fire_;
+    st.init(layer, c0, c1);
+    std::fill(st.membrane.data(), st.membrane.data() + span, layer.initial_potential);
     std::vector<std::int64_t> acc(static_cast<std::size_t>(features), 0);
     if (session != nullptr && session->initialized) {
         if (layer.spiking) {
             // Resume the carried potentials of the streaming session
             // (only this instance's slice of the shared bank).
             std::copy(session->membranes[index].begin() + c0,
-                      session->membranes[index].begin() + c1, mem.begin() + c0);
+                      session->membranes[index].begin() + c1, st.membrane.data());
         } else {
             // Readout carries across windows: logits keep accumulating.
             const auto hi = std::min<std::int64_t>(
@@ -870,6 +825,7 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan,
             }
         }
     }
+    snn::SpikeMap slice_out(span, 1, 1);
 
     const std::int64_t oc_tiles = (span + lanes - 1) / lanes;
     const std::int64_t wc = SiaConfig::window_cycles(1);
@@ -899,7 +855,7 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan,
             stats.input_spike_events += in_spikes;
             stats.event_additions += in_spikes * tile_lanes;
         }
-        snn::compute::linear_psum_scatter(b, wt, in, psum, c0, c1);
+        snn::compute::linear_psum_scatter(b, wt, in, st.accum(), c0, c1);
         stats.dense_ops += dense_per_step;
 
         controller_.transition(CtrlState::kAggregate);
@@ -907,26 +863,19 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan,
             span, config_.aggregation_lanes,
             oc_tiles * config_.aggregation_pipeline_depth);
 
-        snn::SpikeMap& out = out_train[static_cast<std::size_t>(t)];
-        for (std::int64_t f = c0; f < c1; ++f) {
-            const std::int16_t m = snn::compute::aggregate(
-                psum[static_cast<std::size_t>(f)], b.gain[static_cast<std::size_t>(f)],
-                b.bias[static_cast<std::size_t>(f)], b.gain_shift);
-            if (layer.spiking) {
-                bool spike = false;
-                mem[static_cast<std::size_t>(f)] = snn::compute::update_neuron(
-                    mem[static_cast<std::size_t>(f)], m, layer, spike);
-                if (spike) out.set_flat(f, true);
-            } else {
-                acc[static_cast<std::size_t>(f)] += m;
-            }
-        }
-        if (!layer.spiking) {
+        if (layer.spiking) {
+            st.fire(layer, nullptr, slice_out);
+            out_train[static_cast<std::size_t>(t)].copy_bits(slice_out, 0, c0, span);
+        } else {
+            // Readout accumulation: the accumulation bank keeps the full
+            // feature layout, so features index it directly.
+            const std::int32_t* psum = st.accum().data();
             auto& row = readout[static_cast<std::size_t>(t)];
-            const auto hi =
-                std::min<std::int64_t>(c1, static_cast<std::int64_t>(row.size()));
-            for (std::int64_t f = c0; f < hi; ++f) {
-                row[static_cast<std::size_t>(f)] = acc[static_cast<std::size_t>(f)];
+            for (std::int64_t f = c0; f < c1; ++f) {
+                const auto fi = static_cast<std::size_t>(f);
+                acc[fi] += snn::compute::aggregate(psum[f], b.gain[fi], b.bias[fi],
+                                                   b.gain_shift);
+                if (fi < row.size()) row[fi] = acc[fi];
             }
         }
         controller_.transition(CtrlState::kWriteOutput);
@@ -937,8 +886,10 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan,
             // Write only this instance's slice of the (presized) shared
             // session bank — sliced shards save disjoint ranges.
             auto& smem = session->membranes[index];
-            if (smem.size() != mem.size()) smem.resize(mem.size());
-            std::copy(mem.begin() + c0, mem.begin() + c1, smem.begin() + c0);
+            if (smem.size() != static_cast<std::size_t>(features)) {
+                smem.resize(static_cast<std::size_t>(features));
+            }
+            std::copy(st.membrane.data(), st.membrane.data() + span, smem.begin() + c0);
         } else {
             // Readout layers carry no membranes; the bank is already
             // empty for shared sliced sessions (clear() would race).

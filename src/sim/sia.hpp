@@ -9,12 +9,16 @@
 //
 // Numerics go through snn::compute (shared with the functional engine):
 // partial sums run through the same event-driven scatter kernels, one
-// call per layer per timestep (per branch), so the simulated
-// spikes/logits are bit-identical to the reference by construction.
-// What this class adds is the cycle, transfer and occupancy accounting
-// of the hardware, which is derived from per-channel spike counts and
-// the LayerPlan (weight-memory chunks x output-channel tiles), never
-// from how the host performs the arithmetic.
+// call per layer per timestep (per branch), and the aggregation core's
+// fire stage through the same fused kernels via snn::LayerState, one
+// call per layer slice per timestep — so the simulated spikes/logits
+// are bit-identical to the reference by construction. Membrane
+// potentials move between the U1/U2 ping-pong banks and the fire
+// scratch as one bulk span per timestep each way. What this class adds
+// is the cycle, transfer and occupancy accounting of the hardware,
+// which is derived from per-channel spike counts and the LayerPlan
+// (weight-memory chunks x output-channel tiles), never from how the
+// host performs the arithmetic.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +32,7 @@
 #include "sim/memory.hpp"
 #include "sim/program.hpp"
 #include "snn/exit.hpp"
+#include "snn/layer_state.hpp"
 #include "snn/model.hpp"
 #include "snn/session.hpp"
 #include "snn/spike.hpp"
@@ -44,7 +49,6 @@ struct LayerCycleStats {
     std::int64_t overhead = 0;   ///< per-layer PS invocation overhead
 
     std::int64_t input_spike_events = 0;  ///< spikes processed (x tiles x passes)
-    std::int64_t output_spikes = 0;
     std::int64_t event_additions = 0;     ///< actual weight accumulations
     std::uint64_t dense_ops = 0;          ///< dense CNN-equivalent ops (2/MAC)
 
@@ -62,7 +66,6 @@ struct LayerCycleStats {
         mmio += o.mmio;
         overhead += o.overhead;
         input_spike_events += o.input_spike_events;
-        output_spikes += o.output_spikes;
         event_additions += o.event_additions;
         dense_ops += o.dense_ops;
         return *this;
@@ -339,6 +342,9 @@ private:
     const CompiledProgram& program_;
     std::vector<std::vector<std::int8_t>> main_wt_cache_;
     std::vector<std::vector<std::int8_t>> skip_wt_cache_;
+    /// Fire-stage scratch banks, re-inited for every layer pass and
+    /// sized by the largest slice this instance has run.
+    snn::LayerState fire_;
     Controller controller_;
     MemoryUnit memory_;
     AxiDma dma_;

@@ -485,16 +485,7 @@ void SiaCluster::run_batch_channel(
             LayerCycleStats& combined = results[i].layer_stats[l];
             combined.label = model_.layers[l].label;
             for (std::size_t k = 0; k < shard_count; ++k) {
-                const LayerCycleStats& s = shard_res[k].layer_stats[l];
-                combined.compute += s.compute;
-                combined.aggregate += s.aggregate;
-                combined.dma += s.dma;
-                combined.mmio += s.mmio;
-                combined.overhead += s.overhead;
-                combined.input_spike_events += s.input_spike_events;
-                combined.output_spikes += s.output_spikes;
-                combined.event_additions += s.event_additions;
-                combined.dense_ops += s.dense_ops;
+                combined += shard_res[k].layer_stats[l];
             }
             results[i].neuron_counts.push_back(model_.layers[l].neurons());
         }

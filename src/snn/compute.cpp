@@ -142,9 +142,8 @@ namespace {
 /// no shuffle support is compiled in): 16x16 int32 tiles keep both
 /// faces in L1 while the writes stay sequential runs.
 void transpose_tile_scalar(const std::int32_t* hwc, std::int32_t* chw,
-                           std::int64_t channels, std::int64_t plane,
-                           std::int64_t p0, std::int64_t p_end, std::int64_t c0,
-                           std::int64_t c_end) {
+                           std::int64_t stride, std::int64_t plane, std::int64_t p0,
+                           std::int64_t p_end, std::int64_t c0, std::int64_t c_end) {
     constexpr std::int64_t kTile = 16;
     for (std::int64_t pt = p0; pt < p_end; pt += kTile) {
         const std::int64_t p1 = std::min(pt + kTile, p_end);
@@ -153,7 +152,7 @@ void transpose_tile_scalar(const std::int32_t* hwc, std::int32_t* chw,
             for (std::int64_t c = ct; c < c1; ++c) {
                 std::int32_t* crow = chw + c * plane;
                 for (std::int64_t p = pt; p < p1; ++p) {
-                    crow[p] = hwc[p * channels + c];
+                    crow[p] = hwc[p * stride + c];
                 }
             }
         }
@@ -163,7 +162,7 @@ void transpose_tile_scalar(const std::int32_t* hwc, std::int32_t* chw,
 }  // namespace
 
 void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
-                          std::int64_t channels, std::int64_t plane) {
+                          std::int64_t channels, std::int64_t plane, std::int64_t stride) {
 #if defined(SIA_SIMD_SHUFFLE)
     // Bulk: 8x8 register-resident tiles through the shuffle network;
     // the ragged right/bottom edges fall back to the scalar tiles.
@@ -178,7 +177,7 @@ void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
             simd::i32x8 rows[8];
             simd::i32x8 cols[8];
             for (int k = 0; k < 8; ++k) {
-                rows[k] = simd::load(hwc + (p0 + k) * channels + c0);
+                rows[k] = simd::load(hwc + (p0 + k) * stride + c0);
             }
             simd::transpose8x8(rows, cols);
             for (int j = 0; j < 8; ++j) {
@@ -186,10 +185,10 @@ void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
             }
         }
     }
-    if (c8 < channels) transpose_tile_scalar(hwc, chw, channels, plane, 0, p8, c8, channels);
-    if (p8 < plane) transpose_tile_scalar(hwc, chw, channels, plane, p8, plane, 0, channels);
+    if (c8 < channels) transpose_tile_scalar(hwc, chw, stride, plane, 0, p8, c8, channels);
+    if (p8 < plane) transpose_tile_scalar(hwc, chw, stride, plane, p8, plane, 0, channels);
 #else
-    transpose_tile_scalar(hwc, chw, channels, plane, 0, plane, 0, channels);
+    transpose_tile_scalar(hwc, chw, stride, plane, 0, plane, 0, channels);
 #endif
 }
 
@@ -200,9 +199,8 @@ void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
 // (one packed spike word) per outer iteration, no per-neuron branches.
 // Every lane op is the int32 recipe of util/fixed_point's *_lane
 // helpers, i.e. exactly what aggregate()/update_neuron() compute — the
-// bit-identity of the scalar and vector fire paths is by construction,
-// and asserted across the equivalence matrix in
-// tests/test_engine_dispatch.cpp.
+// bit-identity with fire_reference is by construction, and asserted
+// across the equivalence matrix in tests/test_engine_dispatch.cpp.
 // ------------------------------------------------------------------------
 
 namespace {
@@ -350,6 +348,28 @@ void aggregate_fire_dense(const FireArgs& a, SpikeMap& out) {
 
 void aggregate_fire_lif(const FireArgs& a, SpikeMap& out) {
     fire_dispatch<true>(a, out);
+}
+
+void fire_reference(const SnnLayer& layer, const std::int32_t* psum,
+                    const std::int32_t* skip_psum, const std::uint64_t* skip_words,
+                    std::int16_t* membrane, SpikeMap& out) {
+    const std::int64_t plane = layer.out_h * layer.out_w;
+    const bool conv_skip = layer.has_skip() && !layer.skip_is_identity;
+    const bool identity_skip = layer.has_skip() && layer.skip_is_identity;
+    for (std::int64_t i = 0; i < layer.neurons(); ++i) {
+        const auto o = static_cast<std::size_t>(i / plane);
+        std::int16_t m = aggregate(psum[i], layer.main.gain[o], layer.main.bias[o],
+                                   layer.main.gain_shift);
+        if (conv_skip) {
+            m = util::sat_add16(m, aggregate(skip_psum[i], layer.skip.gain[o],
+                                             layer.skip.bias[o], layer.skip.gain_shift));
+        } else if (identity_skip && ((skip_words[i >> 6] >> (i & 63)) & 1U) != 0) {
+            m = util::sat_add16(m, layer.identity_skip.charge);
+        }
+        bool spike = false;
+        membrane[i] = update_neuron(membrane[i], m, layer, spike);
+        out.set_flat(i, spike);
+    }
 }
 
 }  // namespace sia::snn::compute

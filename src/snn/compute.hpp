@@ -1,12 +1,16 @@
 // Shared integer compute primitives for SnnModel execution.
 //
 // Both the functional engine (snn::FunctionalEngine) and the
-// cycle-accurate hardware simulator (sim::Sia) compute their partial
-// sums through the same event-driven scatter kernels — one
-// implementation, two schedulers — which is what makes the bit-exact
-// software/hardware co-verification a structural property rather than
-// a testing aspiration. The gather forms (conv_psum, linear_psum) are
-// kept only as the test oracle the scatter kernels are checked against.
+// cycle-accurate hardware simulator (sim::Sia) run one definition of
+// each stage: partial sums through the event-driven scatter kernels,
+// and the aggregation core's fire stage (Eq. 2 batch-norm affine, then
+// IF/LIF integrate, threshold and reset) through the fused SoA kernels,
+// both reached via snn::LayerState. One implementation, two
+// schedulers — which is what makes the bit-exact software/hardware
+// co-verification a structural property rather than a testing
+// aspiration. The gather forms (conv_psum, linear_psum) and the
+// per-neuron fire loop (fire_reference) are kept only as the test
+// oracles the kernels are checked against.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +72,14 @@ void linear_psum(const Branch& b, const std::vector<std::int8_t>& wt, const Spik
 
 /// Cache-blocked [plane][channels] -> [channels][plane] int32 transpose:
 /// reorders an HWC psum accumulation bank into the CHW order the fused
-/// fire kernels (and the packed SpikeMap bit layout) use. `chw` may be
-/// padded past channels * plane; only the first channels * plane
-/// elements are written.
+/// fire kernels (and the packed SpikeMap bit layout) use. Consecutive
+/// HWC rows are `stride` (>= channels) elements apart, so a channel
+/// slice [c0, c0 + channels) of a bank with `stride` channels
+/// transposes from `hwc + c0`. `chw` may be padded past
+/// channels * plane; only the first channels * plane elements are
+/// written.
 void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
-                          std::int64_t channels, std::int64_t plane);
+                          std::int64_t channels, std::int64_t plane, std::int64_t stride);
 
 /// Inputs of the fused aggregate+fire kernels. All banks are flat CHW,
 /// 64-byte aligned, padded to a 64-neuron multiple with zero psum and
@@ -123,9 +130,9 @@ struct FireArgs {
 /// (subtract/zero) and emits spikes — 64 neurons per iteration as
 /// 8-lane int32 groups with no per-neuron branches, the fire mask
 /// assembled from lane compares and written word-wise into `out`
-/// (every word overwritten, tail bits masked). Bit-identical to the
-/// scalar aggregate()/update_neuron() loop: each lane performs the
-/// same util/fixed_point lane ops in the same order.
+/// (every word overwritten, tail bits masked). Bit-identical to
+/// fire_reference: each lane performs the same util/fixed_point lane
+/// ops in the same order.
 void aggregate_fire_dense(const FireArgs& a, SpikeMap& out);
 
 /// As aggregate_fire_dense with the LIF leak (U -= U >> leak_shift,
@@ -135,8 +142,8 @@ void aggregate_fire_lif(const FireArgs& a, SpikeMap& out);
 /// Aggregation-core arithmetic (batch-norm unit of Eq. 2): 16-bit
 /// saturating psum, fixed-point gain multiply, bias add. Written in the
 /// int32 lane ops of util/fixed_point.hpp — the exact per-lane recipe
-/// the vectorized fire kernels execute 8 lanes at a time, so the scalar
-/// and SIMD fire paths share one arithmetic definition.
+/// the fused fire kernels execute 8 lanes at a time. Called only by
+/// fire_reference and the readout-layer logit accumulation.
 [[nodiscard]] inline std::int16_t aggregate(std::int32_t psum, std::int16_t gain,
                                             std::int16_t bias, int shift) noexcept {
     const std::int32_t p16 = util::clamp16_lane(psum);
@@ -162,5 +169,19 @@ void aggregate_fire_lif(const FireArgs& a, SpikeMap& out);
     }
     return static_cast<std::int16_t>(u);
 }
+
+/// Per-neuron fire-stage test oracle for aggregate_fire_dense/lif: for
+/// every neuron of spiking `layer` in flat CHW order, aggregate its
+/// psum (plus the downsample branch's psum, or the identity charge
+/// where the skip source bit is set), update its membrane with
+/// update_neuron and set its spike bit in `out` (every bit written).
+/// `psum`/`skip_psum`/`membrane` are unpadded CHW banks of
+/// layer.neurons() elements; `skip_psum` is read only for a conv skip
+/// and `skip_words` (the source map's packed words) only for an
+/// identity skip. No engine runs it; the equivalence tests and the
+/// hot-path bench compare the fused kernels against it.
+void fire_reference(const SnnLayer& layer, const std::int32_t* psum,
+                    const std::int32_t* skip_psum, const std::uint64_t* skip_words,
+                    std::int16_t* membrane, SpikeMap& out);
 
 }  // namespace sia::snn::compute

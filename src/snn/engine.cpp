@@ -153,7 +153,7 @@ void FunctionalEngine::integrate_and_fire(std::size_t index) {
     if (!layer.spiking) {
         // Readout layer: accumulate aggregated current into wide logits
         // (O(classes); never worth vectorizing).
-        const std::int32_t* psum = st.accum_data();
+        const std::int32_t* psum = st.accum().data();
         for (std::int64_t f = 0; f < layer.out_channels; ++f) {
             const std::int16_t m =
                 compute::aggregate(psum[f], layer.main.gain[static_cast<std::size_t>(f)],
@@ -164,124 +164,26 @@ void FunctionalEngine::integrate_and_fire(std::size_t index) {
         return;
     }
 
-    // Resolve the residual source and accumulate the downsample psum.
-    // skip_src may be -1 (network input) when the stem runs on the
-    // processor-side front end and the first block skips from it.
-    const SpikeMap* skip_spikes = nullptr;
+    // Resolve the residual source: an identity skip feeds its packed
+    // words to the fire kernel, a downsample branch accumulates its
+    // psum. skip_src may be -1 (network input) when the stem runs on
+    // the processor-side front end and the first block skips from it.
+    const std::uint64_t* skip_words = nullptr;
     if (layer.has_skip()) {
-        skip_spikes = layer.skip_src == -1
-                          ? current_input_
-                          : &spikes_.at(static_cast<std::size_t>(layer.skip_src));
-        if (!layer.skip_is_identity) {
+        const SpikeMap& skip_spikes =
+            layer.skip_src == -1 ? *current_input_
+                                 : spikes_.at(static_cast<std::size_t>(layer.skip_src));
+        if (layer.skip_is_identity) {
+            skip_words = skip_spikes.raw().data();
+        } else {
             // Counters track the main branch only.
-            compute::conv_psum_scatter(layer.skip, skip_wt_[index], *skip_spikes,
+            compute::conv_psum_scatter(layer.skip, skip_wt_[index], skip_spikes,
                                        layer.out_h, layer.out_w, st.skip_accum());
         }
     }
 
-    if (config_.fire == FirePath::kScalar) {
-        fire_scalar(index, skip_spikes);
-        ++dispatch_[index].scalar_fire_steps;
-    } else {
-        fire_vector(index, skip_spikes);
-        ++dispatch_[index].vector_fire_steps;
-    }
+    st.fire(layer, skip_words, spikes_[index]);
     spike_counts_[index] += spikes_[index].count();
-}
-
-void FunctionalEngine::fire_vector(std::size_t index, const SpikeMap* skip_spikes) {
-    const SnnLayer& layer = model_.layers[index];
-    LayerState& st = state_[index];
-    const bool conv_skip = layer.has_skip() && !layer.skip_is_identity;
-
-    // Reorder the HWC accumulation banks into the CHW fire banks; when
-    // the orders coincide the kernels already accumulated in place.
-    if (st.interleaved) {
-        compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(), st.channels,
-                                      st.plane);
-        if (conv_skip) {
-            compute::transpose_hwc_to_chw(st.skip_psum_hwc.data(), st.skip_psum.data(),
-                                          st.channels, st.plane);
-        }
-    }
-
-    compute::FireArgs args;
-    args.psum = st.psum.data();
-    args.gain = st.gain.data();
-    args.bias = st.bias.data();
-    args.channel_gain = layer.main.gain.data();
-    args.channel_bias = layer.main.bias.data();
-    args.plane = st.plane;
-    args.gain_shift = layer.main.gain_shift;
-    if (conv_skip) {
-        args.skip_psum = st.skip_psum.data();
-        args.skip_gain = st.skip_gain.data();
-        args.skip_bias = st.skip_bias.data();
-        args.skip_channel_gain = layer.skip.gain.data();
-        args.skip_channel_bias = layer.skip.bias.data();
-        args.skip_gain_shift = layer.skip.gain_shift;
-    } else if (layer.has_skip()) {
-        // Identity skip: same CHW geometry as the output, so the packed
-        // source words align bit-for-bit with the fire blocks.
-        args.skip_words = skip_spikes->raw().data();
-        args.identity_charge = layer.identity_skip.charge;
-    }
-    args.membrane = st.membrane.data();
-    args.threshold = layer.threshold;
-    args.reset = layer.reset;
-    args.leak_shift = layer.leak_shift;
-    args.neurons = st.neurons;
-
-    // No clear(): the kernels overwrite every packed word of the map.
-    SpikeMap& out = spikes_[index];
-    if (layer.neuron == NeuronKind::kLif) {
-        compute::aggregate_fire_lif(args, out);
-    } else {
-        compute::aggregate_fire_dense(args, out);
-    }
-}
-
-void FunctionalEngine::fire_scalar(std::size_t index, const SpikeMap* skip_spikes) {
-    const SnnLayer& layer = model_.layers[index];
-    LayerState& st = state_[index];
-    // The accumulation bank is HWC when interleaved; when the orders
-    // coincide (oc == 1 or 1x1 spatial) the two index formulas agree,
-    // so hwc-indexing it is correct in every case.
-    const std::int32_t* psum = st.accum_data();
-    const std::int32_t* skip_psum =
-        layer.has_skip() && !layer.skip_is_identity ? st.skip_accum_data() : nullptr;
-    std::int16_t* mem = st.membrane.data();
-    SpikeMap& out = spikes_[index];
-    out.clear();
-
-    const std::int64_t oc = layer.out_channels;
-    const std::int64_t oh = layer.out_h;
-    const std::int64_t ow = layer.out_w;
-    for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x) {
-            for (std::int64_t o = 0; o < oc; ++o) {
-                const std::size_t hwc = static_cast<std::size_t>((y * ow + x) * oc + o);
-                const std::size_t chw = static_cast<std::size_t>((o * oh + y) * ow + x);
-                std::int16_t m = compute::aggregate(
-                    psum[hwc], layer.main.gain[static_cast<std::size_t>(o)],
-                    layer.main.bias[static_cast<std::size_t>(o)], layer.main.gain_shift);
-                if (skip_psum != nullptr) {
-                    const std::int16_t ms = compute::aggregate(
-                        skip_psum[hwc], layer.skip.gain[static_cast<std::size_t>(o)],
-                        layer.skip.bias[static_cast<std::size_t>(o)],
-                        layer.skip.gain_shift);
-                    m = util::sat_add16(m, ms);
-                } else if (skip_spikes != nullptr) {
-                    if (skip_spikes->get(o, y, x)) {
-                        m = util::sat_add16(m, layer.identity_skip.charge);
-                    }
-                }
-                bool spike = false;
-                mem[chw] = compute::update_neuron(mem[chw], m, layer, spike);
-                if (spike) out.set(o, y, x, true);
-            }
-        }
-    }
 }
 
 RunResult FunctionalEngine::run(const SpikeTrain& input) {

@@ -28,26 +28,11 @@ namespace sia::snn {
 /// readout comparator tree implements).
 [[nodiscard]] std::size_t argmax_first(std::span<const std::int64_t> logits) noexcept;
 
-/// Which fire-stage implementation FunctionalEngine runs. Both paths
-/// are bit-identical (spikes, membranes, logits) — the choice only
-/// trades throughput.
-enum class FirePath : std::uint8_t {
-    /// Fused SoA kernels (compute::aggregate_fire_*): 64 neurons per
-    /// iteration, spike words emitted directly. The default.
-    kVector,
-    /// The per-neuron reference loop (aggregate()/update_neuron()
-    /// per site). Kept as the baseline the bench and the equivalence
-    /// matrix compare against.
-    kScalar,
-};
-
 /// Execution knobs of FunctionalEngine. None changes results. Partial
 /// sums always run through the event-driven scatter kernels
-/// (compute::conv_psum_scatter / linear_psum_scatter).
+/// (compute::conv_psum_scatter / linear_psum_scatter) and the fire
+/// stage through the fused kernels (compute::aggregate_fire_*).
 struct EngineConfig {
-    /// Fire-stage implementation (vectorized fused kernels vs scalar
-    /// reference loop).
-    FirePath fire = FirePath::kVector;
     /// Record RunResult::logits_per_step (the per-step readout history,
     /// [T][classes] per run). On by default for the accuracy benches
     /// and the co-verification tests; the serving hot path never reads
@@ -63,8 +48,6 @@ struct LayerDispatchStats {
     /// counter need no change).
     std::int64_t dense_steps = 0;
     std::int64_t scatter_steps = 0;  ///< timesteps run through the scatter kernel
-    std::int64_t vector_fire_steps = 0;  ///< timesteps fired through the fused kernels
-    std::int64_t scalar_fire_steps = 0;  ///< timesteps fired through the scalar loop
     std::int64_t input_spikes = 0;   ///< main-branch input spikes summed over steps
     std::int64_t input_sites = 0;    ///< main-branch input sites summed over steps
 
@@ -212,12 +195,6 @@ private:
     [[nodiscard]] RunResult run_window_impl(const SpikeTrain& input,
                                             const ExitCriterion* exit);
     void integrate_and_fire(std::size_t index);
-    /// Fire-stage implementations over the layer's SoA banks; both
-    /// update membranes + spikes_[index] identically (spike emission
-    /// included), differing only in throughput. `skip_spikes` is the
-    /// resolved residual source (null when the layer has no skip).
-    void fire_vector(std::size_t index, const SpikeMap* skip_spikes);
-    void fire_scalar(std::size_t index, const SpikeMap* skip_spikes);
     [[nodiscard]] const SpikeMap& source_spikes(int src, const SpikeMap& input) const;
 
     const SnnModel& model_;

@@ -1,5 +1,6 @@
 #include "snn/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -51,14 +52,49 @@ void write_vec(std::ostream& out, const std::vector<T>& v) {
     if (!out) throw std::runtime_error("save_model: write failed");
 }
 
+/// Bytes between the read position and the end of `in`, or -1 when the
+/// stream cannot seek (its length is then unknown until it runs dry).
+std::int64_t bytes_left(std::istream& in) {
+    const std::istream::pos_type here = in.tellg();
+    if (here == std::istream::pos_type(-1)) return -1;
+    in.seekg(0, std::ios::end);
+    const std::istream::pos_type end = in.tellg();
+    in.clear();
+    in.seekg(here);
+    if (!in || end == std::istream::pos_type(-1)) {
+        in.clear();
+        return -1;
+    }
+    return static_cast<std::int64_t>(end - here);
+}
+
+/// Throw unless `bytes` claimed by a header fit in what `in` still
+/// holds — checked before anything is allocated for them.
+void require_bytes(std::istream& in, std::uint64_t bytes, const char* what) {
+    const std::int64_t left = bytes_left(in);
+    if (left >= 0 && bytes > static_cast<std::uint64_t>(left)) {
+        throw std::runtime_error(std::string(what) + ": header claims " +
+                                 std::to_string(bytes) + " bytes but the stream holds " +
+                                 std::to_string(left));
+    }
+}
+
 template <typename T>
 std::vector<T> read_vec(std::istream& in) {
     const auto n = read_pod<std::uint64_t>(in);
     if (n > (1ULL << 31)) throw std::runtime_error("load_model: absurd vector length");
-    std::vector<T> v(static_cast<std::size_t>(n));
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-    if (!in) throw std::runtime_error("load_model: truncated vector");
+    require_bytes(in, n * sizeof(T), "load_model: vector");
+    // Grow as the data arrives, so a stream that cannot report its
+    // length still costs at most one chunk past the bytes it held.
+    constexpr std::size_t kChunk = (std::size_t{1} << 16) / sizeof(T);
+    std::vector<T> v;
+    while (v.size() < n) {
+        const std::size_t at = v.size();
+        v.resize(at + std::min<std::size_t>(kChunk, static_cast<std::size_t>(n) - at));
+        in.read(reinterpret_cast<char*>(v.data() + at),
+                static_cast<std::streamsize>((v.size() - at) * sizeof(T)));
+        if (!in) throw std::runtime_error("load_model: truncated vector");
+    }
     return v;
 }
 
@@ -228,11 +264,19 @@ SpikeTrain load_train(std::istream& in) {
         c * h * w > (1LL << 31)) {
         throw std::runtime_error("load_train: absurd geometry");
     }
-    SpikeTrain train(static_cast<std::size_t>(timesteps), SpikeMap(c, h, w));
-    for (SpikeMap& m : train) {
-        // set_words validates the word count against the geometry and
-        // recomputes the maintained spike count.
-        m.set_words(read_vec<std::uint64_t>(in));
+    // Each step is a word-count prefix plus its packed words.
+    const auto words = static_cast<std::uint64_t>((c * h * w + 63) / 64);
+    require_bytes(in, timesteps * (sizeof(std::uint64_t) * (words + 1)), "load_train");
+    SpikeTrain train;
+    for (std::uint64_t t = 0; t < timesteps; ++t) {
+        std::vector<std::uint64_t> step = read_vec<std::uint64_t>(in);
+        if (step.size() != words) {
+            throw std::runtime_error(
+                "load_train: step word count does not match the geometry");
+        }
+        // set_words clears bits past the geometry and recomputes the
+        // maintained spike count.
+        train.emplace_back(c, h, w).set_words(std::move(step));
     }
     return train;
 }

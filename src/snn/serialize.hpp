@@ -26,7 +26,8 @@ inline constexpr std::uint32_t kSpikeTrainFormatVersion = 1;
 void save_model(const SnnModel& model, std::ostream& out);
 
 /// Deserialize from a stream; throws std::runtime_error on bad magic,
-/// unsupported version, truncation, or validation failure.
+/// unsupported version, truncation, a vector length the stream cannot
+/// hold (rejected before allocating it), or validation failure.
 [[nodiscard]] SnnModel load_model(std::istream& in);
 
 /// File convenience wrappers.
@@ -38,8 +39,10 @@ void save_model_file(const SnnModel& model, const std::string& path);
 /// Round-trips are bit-exact.
 void save_train(const SpikeTrain& train, std::ostream& out);
 
-/// Deserialize a spike train; throws on bad magic, unsupported
-/// version, truncation, or geometry/word-count inconsistency.
+/// Deserialize a spike train; throws std::runtime_error on bad magic,
+/// unsupported version, truncation, a header claiming more steps or
+/// words than the stream holds (rejected before allocating them), or
+/// geometry/word-count inconsistency.
 [[nodiscard]] SpikeTrain load_train(std::istream& in);
 
 }  // namespace sia::snn

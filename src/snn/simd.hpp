@@ -232,7 +232,8 @@ inline void store(std::int32_t* p, i32x8 v) noexcept { std::memcpy(p, &v, sizeof
 /// Flat 64-byte-aligned zero-initialized buffer for trivially-copyable
 /// lane types — the storage behind snn::LayerState's SoA banks. Unlike
 /// std::vector it guarantees cache-line/vector alignment, and assign()
-/// re-zeroes in place without reallocation churn.
+/// re-zeroes in place, reallocating only to grow (a LayerState reused
+/// across layers keeps its largest layer's storage).
 template <typename T>
 class AlignedVec {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -245,12 +246,12 @@ public:
 
     /// Resize to exactly `n` elements, all zero.
     void assign(std::size_t n) {
-        if (n != size_) {
-            ptr_.reset(n > 0 ? static_cast<T*>(::operator new(
-                                   n * sizeof(T), std::align_val_t{kAlign}))
-                             : nullptr);
-            size_ = n;
+        if (n > capacity_) {
+            ptr_.reset(static_cast<T*>(
+                ::operator new(n * sizeof(T), std::align_val_t{kAlign})));
+            capacity_ = n;
         }
+        size_ = n;
         if (size_ > 0) std::memset(ptr_.get(), 0, size_ * sizeof(T));
     }
 
@@ -271,6 +272,7 @@ private:
     };
     std::unique_ptr<T, Deleter> ptr_;
     std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
 };
 
 }  // namespace sia::snn::simd

@@ -113,6 +113,32 @@ public:
         slot = bits;
     }
 
+    /// Overwrite flat bits [dst_begin, dst_begin + count) with `src`'s
+    /// bits [src_begin, src_begin + count), word-shifted (one or two
+    /// source words per destination word); bits outside the range are
+    /// untouched and the set-bit count is maintained. This moves a
+    /// channel slice (a contiguous CHW bit range that generally starts
+    /// mid-word) between a slice-geometry map and the full layer map.
+    /// Throws std::out_of_range when either range leaves its map.
+    void copy_bits(const SpikeMap& src, std::int64_t src_begin, std::int64_t dst_begin,
+                   std::int64_t count) {
+        if (count <= 0) return;
+        if (src_begin < 0 || dst_begin < 0 || src_begin + count > src.size() ||
+            dst_begin + count > size()) {
+            throw std::out_of_range("SpikeMap::copy_bits: range outside the map");
+        }
+        const std::int64_t dst_end = dst_begin + count;
+        const std::int64_t shift = src_begin - dst_begin;
+        for (std::int64_t w = dst_begin >> 6; w <= (dst_end - 1) >> 6; ++w) {
+            const std::int64_t lo = std::max(dst_begin, w * kWordBits) - w * kWordBits;
+            const std::int64_t hi = std::min(dst_end, (w + 1) * kWordBits) - w * kWordBits;
+            const std::uint64_t mask = (~std::uint64_t{0} >> (kWordBits - (hi - lo)))
+                                       << static_cast<std::uint64_t>(lo);
+            const std::uint64_t bits = src.bits_from(w * kWordBits + shift) & mask;
+            set_word(w, (words_[static_cast<std::size_t>(w)] & ~mask) | bits);
+        }
+    }
+
     /// Packed 64-bit words (the wire/serialization representation).
     /// Bits past size() are guaranteed zero, so equality of raw() is
     /// equality of the maps.
@@ -141,6 +167,21 @@ public:
     }
 
 private:
+    /// The 64 flat bits starting at `bit` (which may be negative or run
+    /// past the end; such bits read as zero), bit k of the result being
+    /// flat bit `bit + k`.
+    [[nodiscard]] std::uint64_t bits_from(std::int64_t bit) const noexcept {
+        const auto word = [&](std::int64_t w) {
+            return w >= 0 && w < static_cast<std::int64_t>(words_.size())
+                       ? words_[static_cast<std::size_t>(w)]
+                       : std::uint64_t{0};
+        };
+        const std::int64_t w = bit >> 6;  // floor division, negative bits too
+        const auto off = static_cast<std::uint64_t>(bit & 63);
+        if (off == 0) return word(w);
+        return (word(w) >> off) | (word(w + 1) << (64U - off));
+    }
+
     std::int64_t c_ = 0;
     std::int64_t h_ = 0;
     std::int64_t w_ = 0;

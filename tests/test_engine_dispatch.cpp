@@ -1,5 +1,5 @@
-// Scatter psum kernels against the gather oracle, and the
-// vector-vs-scalar fire stage of FunctionalEngine.
+// Scatter psum kernels against the gather oracle, and FunctionalEngine
+// against the per-neuron oracle stepper.
 //
 // The load-bearing properties: (1) conv_psum_scatter/linear_psum_scatter
 // perform the same multiset of exact int32 additions as the gather
@@ -8,12 +8,13 @@
 // so psums, and therefore spikes, membranes and logits, are the same
 // whichever schedule (unsharded or channel-sliced) runs them; (2) the
 // fused SoA fire kernels (compute::aggregate_fire_*) execute the same
-// util/fixed_point lane recipe as the scalar aggregate()/update_neuron()
-// loop, so the fire paths are bit-identical too. The engine matrix
-// sweeps densities {0, 1 spike, 5%, 50%, 100%} x stride/padding
+// util/fixed_point lane recipe as the per-neuron fire oracle
+// (compute::fire_reference), so the engine matches an oracle stepper
+// built on the gather psums and fire_reference bit for bit. The engine
+// matrix sweeps densities {0, 1 spike, 5%, 50%, 100%} x stride/padding
 // variants x identity/conv skip routing x IF/LIF neurons x
-// subtract/zero reset x both fire paths, on both word-aligned and odd
-// ("tail") neuron counts.
+// subtract/zero reset, on both word-aligned and odd ("tail") neuron
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "oracle_stepper.hpp"
 #include "snn/compute.hpp"
 #include "snn/engine.hpp"
 #include "snn/model.hpp"
@@ -440,8 +442,8 @@ SpikeTrain matrix_train(const SnnModel& model, double density, bool single_spike
 }
 
 void expect_same_run(const SnnModel& model, const SpikeTrain& train) {
-    // Reference: the scalar per-neuron fire loop. The fused vector fire
-    // kernels must match it at every step.
+    // Reference: the oracle stepper (gather psums + the per-neuron fire
+    // loop). The engine's fused fire kernels must match it at every step.
     struct Variant {
         const char* name;
         EngineConfig config;
@@ -449,8 +451,7 @@ void expect_same_run(const SnnModel& model, const SpikeTrain& train) {
     const std::vector<Variant> variants = {
         {"vector", {}},
     };
-    const EngineConfig reference_config{.fire = FirePath::kScalar};
-    FunctionalEngine reference(model, reference_config);
+    testing::OracleStepper reference(model);
     std::vector<std::unique_ptr<FunctionalEngine>> engines;
     for (const Variant& v : variants) {
         engines.push_back(std::make_unique<FunctionalEngine>(model, v.config));
@@ -476,7 +477,7 @@ void expect_same_run(const SnnModel& model, const SpikeTrain& train) {
     }
 
     // Whole-run results (fresh engines through run()).
-    const RunResult ref = run_snn(model, train, reference_config);
+    const testing::OracleStepper::Run ref = testing::OracleStepper::run(model, train);
     for (const Variant& v : variants) {
         const RunResult got = run_snn(model, train, v.config);
         EXPECT_EQ(ref.logits_per_step, got.logits_per_step) << v.name;
@@ -567,39 +568,6 @@ TEST(DispatchCounters, ScatterStepsAndInputDensity) {
     EXPECT_EQ(engine.dispatch_stats(0).input_sites, 0);
 }
 
-TEST(DispatchCounters, FirePathCountersTrackConfiguredPath) {
-    util::Rng rng(606);
-    const SnnModel model = matrix_model(NeuronKind::kIf, ResetMode::kSubtract, rng);
-    const SpikeTrain train = matrix_train(model, 0.05, false, rng);
-    const auto steps = static_cast<std::int64_t>(train.size());
-
-    FunctionalEngine vector_engine(model, {});  // default: vectorized fire
-    FunctionalEngine scalar_engine(model, {.fire = FirePath::kScalar});
-    for (const auto& frame : train) {
-        vector_engine.step(frame);
-        scalar_engine.step(frame);
-    }
-    for (std::size_t l = 0; l < model.layers.size(); ++l) {
-        const bool spiking = model.layers[l].spiking;
-        // Spiking layers fire once per step through the configured path;
-        // the readout layer has no fire stage and counts neither.
-        EXPECT_EQ(vector_engine.dispatch_stats(l).vector_fire_steps,
-                  spiking ? steps : 0)
-            << l;
-        EXPECT_EQ(vector_engine.dispatch_stats(l).scalar_fire_steps, 0) << l;
-        EXPECT_EQ(scalar_engine.dispatch_stats(l).scalar_fire_steps,
-                  spiking ? steps : 0)
-            << l;
-        EXPECT_EQ(scalar_engine.dispatch_stats(l).vector_fire_steps, 0) << l;
-    }
-
-    // run() surfaces the counters; reset() clears them.
-    const RunResult res = vector_engine.run(train);
-    EXPECT_EQ(res.layer_dispatch[0].vector_fire_steps, steps);
-    vector_engine.reset();
-    EXPECT_EQ(vector_engine.dispatch_stats(0).vector_fire_steps, 0);
-}
-
 // ---- BatchRunner plumbing ----
 
 TEST(BatchRunnerDispatch, EngineConfigPreservesBitExactness) {
@@ -612,16 +580,13 @@ TEST(BatchRunnerDispatch, EngineConfigPreservesBitExactness) {
     std::vector<core::Request> requests;
     for (const auto& train : batch) requests.push_back(core::Request::view_train(train));
 
-    core::BatchRunner vector_fire_runner(model, {.threads = 2});
-    core::BatchRunner scalar_fire_runner(
-        model, {.threads = 2, .engine = {.fire = FirePath::kScalar}});
-    const auto rv = vector_fire_runner.run(requests);
-    const auto rs = scalar_fire_runner.run(requests);
-    ASSERT_EQ(rv.size(), batch.size());
-    ASSERT_EQ(rs.size(), batch.size());
+    core::BatchRunner runner(model, {.threads = 2});
+    const auto results = runner.run(requests);
+    ASSERT_EQ(results.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(rs[i].logits_per_step, rv[i].logits_per_step) << i;
-        EXPECT_EQ(rs[i].spike_counts, rv[i].spike_counts) << i;
+        const auto ref = testing::OracleStepper::run(model, batch[i]);
+        EXPECT_EQ(ref.logits_per_step, results[i].logits_per_step) << i;
+        EXPECT_EQ(ref.spike_counts, results[i].spike_counts) << i;
     }
 }
 

@@ -124,14 +124,15 @@ snn::SnnModel mlp_model(std::uint64_t seed) {
 }
 
 /// stem -> identity-skip residual -> conv-skip block reading the stem
-/// (which blocks the cut before it) -> readout. Exercises both sliced
-/// residual paths and gives the planner an illegal boundary.
-snn::SnnModel skip_model(std::uint64_t seed) {
+/// (which blocks the cut before it) -> readout, on hw x hw planes.
+/// Exercises both sliced residual paths and gives the planner an
+/// illegal boundary.
+snn::SnnModel skip_model(std::uint64_t seed, std::int64_t hw = 6) {
     util::Rng rng(seed);
     snn::SnnModel model;
     model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
+    model.input_h = hw;
+    model.input_w = hw;
     model.classes = 4;
 
     const auto conv_branch = [&](std::int64_t in_c, std::int64_t out_c,
@@ -157,8 +158,8 @@ snn::SnnModel skip_model(std::uint64_t seed) {
         layer.input = input;
         layer.main = conv_branch(in_c, 4, 3, 1);
         layer.out_channels = 4;
-        layer.out_h = layer.out_w = 6;
-        layer.in_h = layer.in_w = 6;
+        layer.out_h = layer.out_w = hw;
+        layer.in_h = layer.in_w = hw;
         return layer;
     };
 
@@ -181,7 +182,7 @@ snn::SnnModel skip_model(std::uint64_t seed) {
     fc.label = "fc";
     fc.input = 2;
     fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
+    fc.main.in_features = 4 * hw * hw;
     fc.main.out_features = 4;
     fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
     for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
@@ -344,6 +345,30 @@ TEST(ShardCluster, SingleRunFormsMatchBatch) {
             config, model,
             compiler.compile_sharded(model, {.partition = partition, .shards = 2}));
         expect_same_outputs(cluster.run(inputs[0]), ref);
+    }
+}
+
+TEST(ShardCluster, ChannelSlicesOnWordAlignedPlanes) {
+    // 8x8 planes are whole 64-neuron words, so each sliced fire call
+    // takes the per-channel coefficient path (main and skip) starting at
+    // its slice's first channel; the per-channel gains differ, so a
+    // slice reading another slice's coefficients changes the spikes.
+    const sim::SiaConfig config;
+    const auto model = skip_model(104, 8);
+    const auto inputs = random_batch(model, 3, 4, 23);
+    const core::SiaCompiler compiler(config);
+    const auto program = compiler.compile(model);
+    sim::Sia single(config, model, program);
+    for (const std::int64_t shards : {2, 3}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        sim::SiaCluster cluster(
+            config, model,
+            compiler.compile_sharded(
+                model, {.partition = core::ShardPartition::kChannel, .shards = shards}));
+        const auto results = cluster.run_batch(inputs);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            expect_same_outputs(results[i], single.run(inputs[i]));
+        }
     }
 }
 

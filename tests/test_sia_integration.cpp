@@ -173,6 +173,47 @@ TEST(SiaIntegration, ControllerTraceShape) {
               static_cast<std::int64_t>(model.layers.size()) * 3);
 }
 
+TEST(SiaIntegration, BankTrafficPerBankedPotentialAndOutputByte) {
+    // Each conv layer writes its banked potentials once before its
+    // timestep loop, then reads and writes them once per timestep
+    // (2 bytes each); potentials past bank_capacity()/2 stay in the host
+    // mirror, and linear layers keep theirs host-side. Output spikes are
+    // packed into the output BRAM once per timestep. A 4 kB membrane
+    // store leaves 1024 banked potentials, so the 2048-neuron first
+    // layer spills.
+    std::vector<std::unique_ptr<nn::Vgg11>> keep;
+    nn::Vgg11* raw = nullptr;
+    nn::VggConfig cfg;
+    cfg.width = 8;
+    cfg.input_size = 16;
+    const auto model = make_converted(cfg, 81, &raw, keep);
+    const std::int64_t steps = 3;
+    const auto input = random_input(3, 16, steps, 82);
+
+    sim::SiaConfig sia_cfg;
+    sia_cfg.membrane_bytes = 4096;
+    const auto program = core::SiaCompiler(sia_cfg).compile(model);
+    sim::Sia sia(sia_cfg, model, program);
+    (void)sia.run(input);
+
+    const std::int64_t banked_max = sia.memory().membrane.bank_capacity() / 2;
+    ASSERT_EQ(banked_max, 1024);
+    std::int64_t membrane_bytes = 0;
+    std::int64_t output_bytes = 0;
+    for (const auto& layer : model.layers) {
+        if (layer.op != snn::LayerOp::kConv) continue;
+        const std::int64_t banked = std::min(layer.neurons(), banked_max);
+        membrane_bytes += 2 * banked + steps * 4 * banked;
+        output_bytes += steps * ((layer.neurons() + 7) / 8);
+    }
+    ASSERT_GT(model.layers.front().neurons(), banked_max);
+    const auto& u1 = sia.memory().membrane.read_bank();
+    const auto& u2 = sia.memory().membrane.write_bank();
+    EXPECT_EQ(u1.bytes_read() + u1.bytes_written() + u2.bytes_read() + u2.bytes_written(),
+              membrane_bytes);
+    EXPECT_EQ(sia.memory().output_spikes.bytes_written(), output_bytes);
+}
+
 TEST(SiaIntegration, ProgramModelMismatchThrows) {
     std::vector<std::unique_ptr<nn::Vgg11>> keep;
     nn::Vgg11* raw = nullptr;

@@ -1,16 +1,16 @@
-// Hardware-block unit tests: PE datapath & cycle semantics, aggregation
-// core, BRAM banks, ping-pong membrane organisation, AXI cost models,
-// controller FSM legality.
+// Hardware-block unit tests: PE window and aggregation-pipeline cycle
+// semantics, BRAM banks (per-value and bulk access), ping-pong membrane
+// organisation, AXI cost models, controller FSM legality.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <cstdint>
+#include <vector>
 
 #include "sim/aggregation.hpp"
 #include "sim/axi.hpp"
 #include "sim/config.hpp"
 #include "sim/controller.hpp"
 #include "sim/memory.hpp"
-#include "sim/pe.hpp"
 
 namespace sia::sim {
 namespace {
@@ -22,62 +22,6 @@ TEST(PeDatapath, WindowCycleCounts) {
     EXPECT_EQ(SiaConfig::window_cycles(5), 31);   // 5 rows x 2 segs x 3 + 1
     EXPECT_EQ(SiaConfig::window_cycles(7), 64);   // 7 x 3 x 3 + 1
     EXPECT_EQ(SiaConfig::window_cycles(11), 133); // 11 x 4 x 3 + 1
-}
-
-TEST(PeDatapath, EventDrivenSegmentSkip) {
-    Pe pe;
-    pe.begin_window();
-    const std::array<std::uint8_t, 3> none = {0, 0, 0};
-    const std::array<std::int8_t, 3> w = {10, -5, 3};
-    EXPECT_EQ(pe.accumulate_segment(none, w), 0);  // silent row: free
-    const std::array<std::uint8_t, 3> some = {1, 0, 1};
-    EXPECT_EQ(pe.accumulate_segment(some, w), 3);  // active row: 3 cycles
-    EXPECT_EQ(pe.raw_partial(), 13);               // 10 + 3, mux zeroes -5
-    EXPECT_EQ(pe.emit(), 13);
-    EXPECT_TRUE(pe.emitted());
-    EXPECT_EQ(pe.busy_cycles(), 3);
-    EXPECT_EQ(pe.additions(), 2);
-}
-
-TEST(PeDatapath, EmitSaturates16) {
-    Pe pe;
-    pe.begin_window();
-    const std::array<std::uint8_t, 3> all = {1, 1, 1};
-    const std::array<std::int8_t, 3> w = {127, 127, 127};
-    for (int i = 0; i < 200; ++i) (void)pe.accumulate_segment(all, w);
-    EXPECT_EQ(pe.emit(), 32767);
-}
-
-TEST(PeArray, ScatterTapAccumulatesLanes) {
-    const SiaConfig cfg;
-    PeArray array(cfg);
-    EXPECT_EQ(array.lanes(), 64);
-    std::vector<std::int8_t> w(64, 2);
-    std::vector<std::int32_t> partials(64, 5);
-    array.scatter_tap(w, partials);
-    for (const auto p : partials) EXPECT_EQ(p, 7);
-}
-
-TEST(Aggregation, BatchNormAffine) {
-    // (psum * G) >> 8 + H with saturation.
-    EXPECT_EQ(AggregationCore::batch_norm(100, 256, 10, 8), 110);
-    EXPECT_EQ(AggregationCore::batch_norm(100, -256, 0, 8), -100);
-    EXPECT_EQ(AggregationCore::batch_norm(40000, 256, 0, 8), 32767);  // psum sat first
-}
-
-TEST(Aggregation, ActivationModesMatchPaper) {
-    // IF mode (mode bit 0): no leak.
-    auto r = AggregationCore::activate(200, 100, 256, false, 4, snn::ResetMode::kSubtract);
-    EXPECT_TRUE(r.spike);
-    EXPECT_EQ(r.new_potential, 44);
-    // LIF mode (mode bit 1): leak 1/16 applied before integration.
-    r = AggregationCore::activate(160, 0, 256, true, 4, snn::ResetMode::kSubtract);
-    EXPECT_FALSE(r.spike);
-    EXPECT_EQ(r.new_potential, 150);
-    // Reset to zero.
-    r = AggregationCore::activate(200, 200, 256, false, 4, snn::ResetMode::kZero);
-    EXPECT_TRUE(r.spike);
-    EXPECT_EQ(r.new_potential, 0);
 }
 
 TEST(Aggregation, RetireCyclesPipelined) {
@@ -102,6 +46,42 @@ TEST(Bram, CapacityEnforced) {
     EXPECT_THROW((void)bank.read8(8), std::out_of_range);
     EXPECT_THROW((void)bank.read8(-1), std::out_of_range);
     EXPECT_NO_THROW(bank.write16(6, 1));
+}
+
+TEST(Bram, SpanAccessMatchesPerValueAccess) {
+    // The bulk forms store the same bytes and advance the counters by
+    // the same totals as one per-value call each.
+    const std::vector<std::int16_t> values = {-1234, 0, 32767, -32768, 7};
+    BramBank bulk("bulk", 16);
+    BramBank single("single", 16);
+    bulk.write_span(2, values);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        single.write16(2 + 2 * static_cast<std::int64_t>(i), values[i]);
+    }
+    std::vector<std::int16_t> back(values.size());
+    bulk.read_span(2, back);
+    EXPECT_EQ(back, values);
+    for (std::int64_t addr = 0; addr < 16; ++addr) {
+        EXPECT_EQ(bulk.read8(addr), single.read8(addr)) << addr;
+    }
+    EXPECT_EQ(bulk.bytes_written(), 10);
+    EXPECT_EQ(bulk.bytes_read(), 10 + 16);
+
+    // One capacity check covers the whole span.
+    EXPECT_THROW(bulk.write_span(8, values), std::out_of_range);
+    EXPECT_THROW(bulk.read_span(-2, back), std::out_of_range);
+}
+
+TEST(Bram, WriteBitsPacksSpikeWordsLittleEndian) {
+    BramBank bank("out", 4);
+    const std::vector<std::uint64_t> words = {0xFFFF'FFFF'FFFF'F0A5ULL};
+    bank.write_bits(0, words, 20);  // 3 bytes, the last holding 4 bits
+    EXPECT_EQ(bank.read8(0), 0xA5);
+    EXPECT_EQ(bank.read8(1), 0xF0);
+    EXPECT_EQ(bank.read8(2), 0x0F);
+    EXPECT_EQ(bank.read8(3), 0x00);
+    EXPECT_EQ(bank.bytes_written(), 3);
+    EXPECT_THROW(bank.write_bits(2, words, 20), std::out_of_range);
 }
 
 TEST(PingPong, RolesSwapPerTimestep) {
@@ -150,6 +130,9 @@ TEST(PingPong, PartitionedContextsAreIndependent) {
 
     // Slice bounds are enforced per context, and invalid selections throw.
     EXPECT_THROW(mem.write16(15, 1), std::out_of_range);
+    const std::vector<std::int16_t> span(8, 1);  // exactly one 16-byte slice
+    EXPECT_NO_THROW(mem.write_span(0, span));
+    EXPECT_THROW(mem.write_span(2, span), std::out_of_range);
     EXPECT_THROW(mem.set_active(4), std::out_of_range);
     EXPECT_THROW(mem.partition(0), std::invalid_argument);
 

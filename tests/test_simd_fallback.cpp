@@ -1,13 +1,13 @@
 // Equivalence of the portable (plain-struct) SIMD fallback with the
-// scalar reference fire path.
+// per-neuron fire oracle.
 //
 // snn/simd.hpp has two spellings of the 8-lane helpers: GNU vector
 // extensions (what every GCC/Clang build uses) and a portable struct
 // fallback for other compilers. This binary is compiled with
-// SIA_FORCE_SCALAR_SIMD, so its FunctionalEngine's FirePath::kVector
-// runs the fused kernels through the FALLBACK lanes — asserting them
-// bit-identical to the scalar loop gives the fallback real execution
-// coverage instead of compile-only coverage.
+// SIA_FORCE_SCALAR_SIMD, so its FunctionalEngine runs the fused fire
+// kernels through the FALLBACK lanes — asserting them bit-identical to
+// the oracle stepper (gather psums + compute::fire_reference) gives the
+// fallback real execution coverage instead of compile-only coverage.
 //
 // Deliberately NOT linked against the sia library: the library's
 // inline simd functions are the native spelling, and mixing the two
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "oracle_stepper.hpp"
 #include "snn/engine.hpp"
 #include "snn/model.hpp"
 #include "snn/spike.hpp"
@@ -131,7 +132,7 @@ TEST(SimdFallback, VectorFireMatchesScalarFire) {
             const SnnModel model = fallback_model(neuron, reset, rng);
             for (const double density : {0.0, 0.05, 0.5, 1.0}) {
                 FunctionalEngine vector_engine(model, {});
-                FunctionalEngine scalar_engine(model, {.fire = FirePath::kScalar});
+                testing::OracleStepper scalar_engine(model);
                 for (int t = 0; t < 6; ++t) {
                     SpikeMap frame(model.input_channels, model.input_h, model.input_w);
                     for (std::int64_t j = 0; j < frame.size(); ++j) {

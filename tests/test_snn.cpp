@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -89,6 +90,28 @@ TEST(SpikeMap, CountRangeMatchesScan) {
         per_channel += m.count_range(c * plane, (c + 1) * plane);
     }
     EXPECT_EQ(per_channel, m.count());
+}
+
+TEST(SpikeMap, CopyBitsMatchesPerBitCopyAtAnyOffset) {
+    util::Rng rng(44);
+    SpikeMap src(3, 7, 9);  // 189 sites
+    for (std::int64_t i = 0; i < src.size(); ++i) src.set_flat(i, rng.bernoulli(0.5));
+    // Aligned, mid-word, word-crossing, tail-reaching and empty copies.
+    for (const auto& [from, to, n] : std::vector<std::tuple<std::int64_t, std::int64_t,
+                                                           std::int64_t>>{
+             {0, 0, 189}, {63, 0, 126}, {5, 70, 119}, {0, 61, 128}, {130, 1, 59},
+             {64, 128, 61}, {17, 17, 1}, {9, 9, 0}}) {
+        SpikeMap dst(3, 7, 9);
+        for (std::int64_t i = 0; i < dst.size(); ++i) dst.set_flat(i, rng.bernoulli(0.5));
+        SpikeMap want = dst;
+        for (std::int64_t k = 0; k < n; ++k) want.set_flat(to + k, src.get_flat(from + k));
+        dst.copy_bits(src, from, to, n);
+        EXPECT_TRUE(dst == want) << from << " -> " << to << " x " << n;
+        EXPECT_EQ(dst.count(), want.count()) << from << " -> " << to << " x " << n;
+    }
+    SpikeMap small(1, 1, 10);
+    EXPECT_THROW(small.copy_bits(src, 0, 1, 10), std::out_of_range);
+    EXPECT_THROW(small.copy_bits(src, 180, 0, 10), std::out_of_range);
 }
 
 TEST(SpikeMap, RawWordsRoundTripAndTailMasking) {
@@ -196,6 +219,13 @@ SnnLayer if_layer() {
     return layer;
 }
 
+TEST(Neuron, AggregateAffineSaturatesPsumFirst) {
+    // (psum * G) >> 8 + H with 16-bit saturation at each stage.
+    EXPECT_EQ(compute::aggregate(100, 256, 10, 8), 110);
+    EXPECT_EQ(compute::aggregate(100, -256, 0, 8), -100);
+    EXPECT_EQ(compute::aggregate(40000, 256, 0, 8), 32767);  // psum saturates first
+}
+
 TEST(Neuron, FiresAtThresholdAndSubtracts) {
     const SnnLayer layer = if_layer();
     bool spike = false;
@@ -229,6 +259,9 @@ TEST(Neuron, LifLeaksTowardZero) {
     const auto u = compute::update_neuron(100, 0, layer, spike);
     EXPECT_FALSE(spike);
     EXPECT_EQ(u, 75);
+    layer.leak_shift = 4;  // the paper's 1/16 leak
+    EXPECT_EQ(compute::update_neuron(160, 0, layer, spike), 150);
+    EXPECT_FALSE(spike);
 }
 
 TEST(Neuron, RateCodesClippedValue) {
